@@ -9,12 +9,15 @@
 //! and the batched kernel with the Beamer-style direction heuristic
 //! (`Direction::Auto`). The aggregates of all three arms are asserted
 //! equal *before* timing starts — the same bit-identicality the parity
-//! proptests (`ncg-graph/tests/proptest_batch.rs`) and the CI
-//! `determinism` job (`NCG_BATCH_BFS=1` vs `0`) gate.
+//! proptests (`ncg-graph/tests/proptest_batch.rs`) gate. The scalar arm
+//! is the baseline only: every production adopter runs the batched
+//! kernel.
 //!
 //! Substrates: sparse connected `G(n, 8/n)` at n ∈ {256, 1024, 4096}
 //! and the Section 3.1 torus gadgets (the certification sweep's
-//! instance family), labelled by their actual vertex counts.
+//! instance family), labelled by their actual vertex counts. The
+//! largest torus arm is far past any torus a CLI run certifies (at
+//! most 160 nodes under `lower-bounds --paper`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncg_constructions::TorusGrid;

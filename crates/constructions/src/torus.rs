@@ -30,7 +30,7 @@ use std::collections::HashMap;
 
 use ncg_core::{GameSpec, GameState};
 use ncg_graph::{Graph, GraphError, NodeId};
-use ncg_solver::is_lke_par;
+use ncg_solver::is_lke;
 
 /// A built torus/grid instance: graph, ownership and coordinates.
 #[derive(Debug, Clone)]
@@ -412,10 +412,9 @@ impl TorusGrid {
 
     /// Certifies the LKE property with the exact solver (`n` best
     /// responses, fanned out over the work-stealing pool with
-    /// per-worker solver scratch). MaxNCG certification is exact;
-    /// SumNCG is exact whenever views stay within the exhaustive cap.
+    /// per-worker solver scratch); exact for both objectives.
     pub fn certify(&self, spec: &GameSpec) -> bool {
-        is_lke_par(&self.state, spec)
+        is_lke(&self.state, spec)
     }
 
     /// Corollary 3.4: the diameter lower bound `ℓ·δ_d`.

@@ -62,15 +62,10 @@ pub trait UsageCost: std::fmt::Debug + Sync {
     /// The player's current usage as she perceives it inside her view.
     fn current_usage(&self, view: &PlayerView) -> u64;
 
-    /// Usage from one full per-vertex distance array (the metrics
-    /// path): `None` when the player does not reach everyone.
-    fn distance_usage(&self, reaches_all: bool, ecc: u32, distances: &[u32]) -> Option<u64>;
-
     /// Usage from the batched BFS kernel's per-lane aggregates
-    /// (`ncg_graph::batch`): `ecc` is the largest finite distance and
-    /// `status` the sum of finite distances of the lane. Must agree
-    /// with [`UsageCost::distance_usage`] on consistent inputs — the
-    /// bit-parity contract of the batched metrics path.
+    /// (`ncg_graph::batch`, the metrics path): `ecc` is the largest
+    /// finite distance and `status` the sum of finite distances of the
+    /// lane; `None` when the player does not reach everyone.
     fn aggregate_usage(&self, reaches_all: bool, ecc: u32, status: u64) -> Option<u64>;
 
     /// Per-vertex usages on the true (full-knowledge) graph.
@@ -110,10 +105,6 @@ impl UsageCost for Eccentricity {
 
     fn current_usage(&self, view: &PlayerView) -> u64 {
         view.ecc_in_view() as u64
-    }
-
-    fn distance_usage(&self, reaches_all: bool, ecc: u32, _distances: &[u32]) -> Option<u64> {
-        reaches_all.then_some(ecc as u64)
     }
 
     fn aggregate_usage(&self, reaches_all: bool, ecc: u32, _status: u64) -> Option<u64> {
@@ -164,10 +155,6 @@ impl UsageCost for Status {
 
     fn current_usage(&self, view: &PlayerView) -> u64 {
         view.status_in_view()
-    }
-
-    fn distance_usage(&self, reaches_all: bool, _ecc: u32, distances: &[u32]) -> Option<u64> {
-        reaches_all.then(|| distances.iter().map(|&d| d as u64).sum())
     }
 
     fn aggregate_usage(&self, reaches_all: bool, _ecc: u32, status: u64) -> Option<u64> {

@@ -2,14 +2,13 @@
 //! each round and reports in Figures 5–10.
 
 use ncg_core::{social, GameSpec, GameState};
-use ncg_graph::batch::{batch_bfs, batch_enabled, BatchDistances, BatchScratch, WORD_LANES};
-use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{CsrGraph, NodeId, INFINITY};
+use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
+use ncg_graph::{CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Reusable workspace of the measurement pass: the frozen CSR, the
-/// scalar BFS buffer, the batched kernel's scratch + result, and the
-/// per-player usage vector. One per repetition (the sweep engine's
+/// batched kernel's scratch + result, and the per-player usage
+/// vector. One per repetition (the sweep engine's
 /// [`crate::CacheArena`] owns one), threaded through
 /// [`StateMetrics::measure_with`] so the per-cell epilogue re-allocates
 /// nothing — the same discipline `DistanceBuffer` brings to a single
@@ -17,7 +16,6 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Default)]
 pub struct MeasureScratch {
     csr: CsrGraph,
-    buf: DistanceBuffer,
     batch: BatchScratch,
     dists: BatchDistances,
     usages: Vec<Option<u64>>,
@@ -63,17 +61,15 @@ pub struct StateMetrics {
 impl StateMetrics {
     /// Measures a state under the given spec (view sizes use `spec.k`).
     ///
-    /// One CSR freeze plus one full BFS per vertex over the shared
-    /// multi-source kernel produces the diameter, both view-size
-    /// statistics (a ball of radius `k` is exactly the nodes at
-    /// distance `≤ k`), *and* every social statistic together: the
-    /// per-player usage (eccentricity for Max, status for Sum) falls
-    /// out of the same distance arrays, so `social_cost`, `quality`
-    /// and `unfairness` no longer run their own per-vertex BFS over
-    /// the mutable adjacency inside `ncg_core::social` — the last
-    /// duplicate sweep of the per-cell epilogue (ROADMAP follow-up;
-    /// parity-tested against `ncg_graph::metrics::diameter`,
-    /// `ncg_graph::view::ball`, and the `ncg_core::social` BFS path).
+    /// One CSR freeze plus ⌈n/64⌉ full 64-lane batched BFS passes
+    /// produce the diameter, both view-size statistics (a ball of
+    /// radius `k` is exactly the nodes at distance `≤ k`), *and* every
+    /// social statistic together: each lane's eccentricity, reach and
+    /// status sum give the per-player usage (eccentricity for Max,
+    /// status for Sum), so `social_cost`, `quality` and `unfairness`
+    /// run no BFS of their own (parity-tested against
+    /// `ncg_graph::metrics::diameter`, `ncg_graph::view::ball`, and the
+    /// `ncg_core::social` BFS path).
     pub fn measure(state: &GameState, spec: &GameSpec) -> Self {
         Self::measure_with(state, spec, &mut MeasureScratch::new())
     }
@@ -81,19 +77,6 @@ impl StateMetrics {
     /// [`StateMetrics::measure`] with caller-provided scratch: the
     /// sweep epilogue's hot path, one scratch per repetition.
     pub fn measure_with(state: &GameState, spec: &GameSpec, scratch: &mut MeasureScratch) -> Self {
-        Self::measure_with_policy(state, spec, scratch, batch_enabled())
-    }
-
-    /// [`StateMetrics::measure_with`] with the kernel choice pinned
-    /// explicitly — the in-process A/B hook of the bit-parity tests
-    /// (toggling `NCG_BATCH_BFS` inside a test process would race the
-    /// once-read environment).
-    pub fn measure_with_policy(
-        state: &GameState,
-        spec: &GameSpec,
-        scratch: &mut MeasureScratch,
-        batched: bool,
-    ) -> Self {
         let g = state.graph();
         let n = state.n();
         scratch.csr.refreeze(g);
@@ -103,58 +86,33 @@ impl StateMetrics {
         let mut connected = true;
         scratch.usages.clear();
         let usage_cost = spec.objective.usage_cost();
-        if batched {
-            // ⌈n/64⌉ lane-group passes instead of n scalar BFS: every
-            // per-player quantity falls out of the per-lane aggregates
-            // (level histogram), bit-identical to the scalar loop.
-            let mut lo = 0usize;
-            while lo < n {
-                let hi = (lo + WORD_LANES).min(n);
-                scratch.sources.clear();
-                scratch.sources.extend(lo as u32..hi as u32);
-                batch_bfs(
-                    &scratch.csr,
-                    &scratch.sources,
-                    u32::MAX,
-                    &mut scratch.batch,
-                    &mut scratch.dists,
-                );
-                for lane in 0..hi - lo {
-                    let ecc = scratch.dists.ecc(lane);
-                    let reaches_all = scratch.dists.reached(lane) == n;
-                    connected &= reaches_all;
-                    ecc_max = ecc_max.max(ecc);
-                    let size = scratch.dists.ball_size(lane, spec.k);
-                    min_view = min_view.min(size);
-                    view_total += size;
-                    scratch.usages.push(usage_cost.aggregate_usage(
-                        reaches_all,
-                        ecc,
-                        scratch.dists.status_sum(lane),
-                    ));
-                }
-                lo = hi;
-            }
-        } else {
-            for u in 0..n as u32 {
-                let ecc = scratch.csr.bfs(u, &mut scratch.buf);
-                let reaches_all = scratch.buf.visited().len() == n;
+        let mut lo = 0usize;
+        while lo < n {
+            let hi = (lo + WORD_LANES).min(n);
+            scratch.sources.clear();
+            scratch.sources.extend(lo as u32..hi as u32);
+            batch_bfs(
+                &scratch.csr,
+                &scratch.sources,
+                u32::MAX,
+                &mut scratch.batch,
+                &mut scratch.dists,
+            );
+            for lane in 0..hi - lo {
+                let ecc = scratch.dists.ecc(lane);
+                let reaches_all = scratch.dists.reached(lane) == n;
                 connected &= reaches_all;
                 ecc_max = ecc_max.max(ecc);
-                let size = scratch
-                    .buf
-                    .distances()
-                    .iter()
-                    .filter(|&&d| d != INFINITY && d <= spec.k)
-                    .count();
+                let size = scratch.dists.ball_size(lane, spec.k);
                 min_view = min_view.min(size);
                 view_total += size;
-                scratch.usages.push(usage_cost.distance_usage(
+                scratch.usages.push(usage_cost.aggregate_usage(
                     reaches_all,
                     ecc,
-                    scratch.buf.distances(),
+                    scratch.dists.status_sum(lane),
                 ));
             }
+            lo = hi;
         }
         if n == 0 {
             min_view = 0;
@@ -174,50 +132,6 @@ impl StateMetrics {
             avg_view: if n == 0 { 0.0 } else { view_total as f64 / n as f64 },
             unfairness: social::unfairness_with_usages(state, spec, usages),
         }
-    }
-
-    /// Convenience: the view-size statistics alone, which Figure 5
-    /// plots (min and mean over players). Same lane-grouped (or, with
-    /// `NCG_BATCH_BFS=0`, CSR bounded-BFS) path as
-    /// [`StateMetrics::measure`].
-    pub fn view_sizes(state: &GameState, k: u32) -> (usize, f64) {
-        let n = state.n();
-        if n == 0 {
-            return (0, 0.0);
-        }
-        let mut scratch = MeasureScratch::new();
-        scratch.csr.refreeze(state.graph());
-        let mut min = usize::MAX;
-        let mut total = 0usize;
-        if batch_enabled() {
-            let mut lo = 0usize;
-            while lo < n {
-                let hi = (lo + WORD_LANES).min(n);
-                scratch.sources.clear();
-                scratch.sources.extend(lo as u32..hi as u32);
-                batch_bfs(
-                    &scratch.csr,
-                    &scratch.sources,
-                    k,
-                    &mut scratch.batch,
-                    &mut scratch.dists,
-                );
-                for lane in 0..hi - lo {
-                    let size = scratch.dists.reached(lane);
-                    min = min.min(size);
-                    total += size;
-                }
-                lo = hi;
-            }
-        } else {
-            for u in 0..n as u32 {
-                scratch.csr.bfs_bounded(u, k, &mut scratch.buf);
-                let size = scratch.buf.visited().len();
-                min = min.min(size);
-                total += size;
-            }
-        }
-        (min, total as f64 / n as f64)
     }
 }
 
@@ -247,12 +161,12 @@ mod tests {
     #[test]
     fn view_sizes_on_cycle() {
         let state = GameState::cycle_successor(10);
-        let (min, avg) = StateMetrics::view_sizes(&state, 2);
-        assert_eq!(min, 5);
-        assert!((avg - 5.0).abs() < 1e-12);
-        let (min, avg) = StateMetrics::view_sizes(&state, 1000);
-        assert_eq!(min, 10);
-        assert!((avg - 10.0).abs() < 1e-12);
+        let m = StateMetrics::measure(&state, &GameSpec::max(1.0, 2));
+        assert_eq!(m.min_view, 5);
+        assert!((m.avg_view - 5.0).abs() < 1e-12);
+        let m = StateMetrics::measure(&state, &GameSpec::max(1.0, 1000));
+        assert_eq!(m.min_view, 10);
+        assert!((m.avg_view - 10.0).abs() < 1e-12);
     }
 
     #[test]
@@ -315,6 +229,46 @@ mod tests {
         }
     }
 
+    /// The per-vertex scalar measurement: one full CSR BFS per player,
+    /// every field read off its distance array.
+    fn measure_scalar(state: &GameState, spec: &GameSpec) -> StateMetrics {
+        use ncg_graph::bfs::DistanceBuffer;
+        use ncg_graph::INFINITY;
+        let g = state.graph();
+        let n = state.n();
+        let csr = CsrGraph::from_graph(g);
+        let mut buf = DistanceBuffer::new();
+        let usage_cost = spec.objective.usage_cost();
+        let (mut min_view, mut view_total, mut ecc_max, mut connected) = (usize::MAX, 0, 0, true);
+        let mut usages = Vec::with_capacity(n);
+        for u in 0..n as u32 {
+            let ecc = csr.bfs(u, &mut buf);
+            let reaches_all = buf.visited().len() == n;
+            connected &= reaches_all;
+            ecc_max = ecc_max.max(ecc);
+            let finite = buf.distances().iter().filter(|&&d| d != INFINITY);
+            let size = finite.clone().filter(|&&d| d <= spec.k).count();
+            min_view = min_view.min(size);
+            view_total += size;
+            let status = finite.map(|&d| d as u64).sum();
+            usages.push(usage_cost.aggregate_usage(reaches_all, ecc, status));
+        }
+        StateMetrics {
+            n,
+            edges: g.edge_count(),
+            diameter: (n > 0 && connected).then_some(ecc_max),
+            social_cost: social::social_cost_with_usages(state, spec, &usages),
+            quality: social::quality_with_usages(state, spec, &usages),
+            max_degree: g.max_degree(),
+            avg_degree: g.avg_degree(),
+            max_bought: state.max_bought(),
+            avg_bought: if n == 0 { 0.0 } else { state.total_bought() as f64 / n as f64 },
+            min_view: if n == 0 { 0 } else { min_view },
+            avg_view: if n == 0 { 0.0 } else { view_total as f64 / n as f64 },
+            unfairness: social::unfairness_with_usages(state, spec, &usages),
+        }
+    }
+
     #[test]
     fn batched_measure_is_bit_identical_to_scalar() {
         // The 64-lane batched path and the per-vertex scalar path must
@@ -335,8 +289,8 @@ mod tests {
         let mut scratch = MeasureScratch::new();
         for (i, state) in states.iter().enumerate() {
             for spec in [GameSpec::max(1.3, 2), GameSpec::sum(2.1, 3)] {
-                let batched = StateMetrics::measure_with_policy(state, &spec, &mut scratch, true);
-                let scalar = StateMetrics::measure_with_policy(state, &spec, &mut scratch, false);
+                let batched = StateMetrics::measure_with(state, &spec, &mut scratch);
+                let scalar = measure_scalar(state, &spec);
                 assert_eq!(batched, scalar, "batched parity (state {i}, {:?})", spec.objective);
             }
         }
@@ -344,32 +298,63 @@ mod tests {
 
     #[test]
     fn csr_path_matches_reference_diameter_and_balls() {
-        // Parity of the CSR measurement path against the per-vertex
-        // `Graph` reference implementations it replaced.
+        // Parity of the batched measurement path against the
+        // per-vertex `Graph` and `ncg_core::social` reference
+        // implementations, for both objectives, on connected,
+        // disconnected, empty, and >64-node profiles (the last
+        // exercising multiple lane groups and a partial one), through
+        // one reused scratch.
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(33);
-        for trial in 0..4 {
-            let g = ncg_graph::generators::gnp(40, 0.05 + 0.03 * trial as f64, &mut rng).unwrap();
-            let state = GameState::from_graph_random_ownership(&g, &mut rng);
+        let mut states: Vec<GameState> = (0..4)
+            .map(|trial| {
+                let g =
+                    ncg_graph::generators::gnp(40, 0.05 + 0.03 * trial as f64, &mut rng).unwrap();
+                GameState::from_graph_random_ownership(&g, &mut rng)
+            })
+            .collect();
+        states.push(GameState::from_strategies(4, vec![vec![1], vec![], vec![3], vec![]]));
+        states.push(GameState::cycle_successor(130));
+        states.push(GameState::from_strategies(0, vec![]));
+        let mut scratch = MeasureScratch::new();
+        for (i, state) in states.iter().enumerate() {
             for k in [1u32, 2, 3, 1000] {
-                let spec = GameSpec::max(1.0, k);
-                let m = StateMetrics::measure(&state, &spec);
-                assert_eq!(
-                    m.diameter,
-                    ncg_graph::metrics::diameter(state.graph()),
-                    "diameter parity (trial {trial}, k={k})"
-                );
-                let mut min = usize::MAX;
-                let mut total = 0usize;
-                for u in 0..state.n() as u32 {
-                    let size = ncg_graph::view::ball(state.graph(), u, k).len();
-                    min = min.min(size);
-                    total += size;
+                for spec in [GameSpec::max(1.3, k), GameSpec::sum(2.1, k)] {
+                    let tag = format!("state {i}, k={k}, {:?}", spec.objective);
+                    let m = StateMetrics::measure_with(state, &spec, &mut scratch);
+                    assert_eq!(m, StateMetrics::measure(state, &spec), "scratch reuse ({tag})");
+                    assert_eq!(
+                        m.diameter,
+                        ncg_graph::metrics::diameter(state.graph()),
+                        "diameter parity ({tag})"
+                    );
+                    let sizes: Vec<usize> = (0..state.n() as u32)
+                        .map(|u| ncg_graph::view::ball(state.graph(), u, k).len())
+                        .collect();
+                    let min = sizes.iter().copied().min().unwrap_or(0);
+                    let avg = if sizes.is_empty() {
+                        0.0
+                    } else {
+                        sizes.iter().sum::<usize>() as f64 / sizes.len() as f64
+                    };
+                    assert_eq!(m.min_view, min, "min view parity ({tag})");
+                    assert_eq!(m.avg_view, avg, "avg view parity ({tag})");
+                    assert_eq!(
+                        m.social_cost,
+                        ncg_core::social::social_cost(state, &spec),
+                        "social cost parity ({tag})"
+                    );
+                    assert_eq!(
+                        m.quality,
+                        ncg_core::social::quality(state, &spec),
+                        "quality parity ({tag})"
+                    );
+                    assert_eq!(
+                        m.unfairness,
+                        ncg_core::social::unfairness(state, &spec),
+                        "unfairness parity ({tag})"
+                    );
                 }
-                assert_eq!(m.min_view, min, "min view parity (trial {trial}, k={k})");
-                let avg = total as f64 / state.n() as f64;
-                assert!((m.avg_view - avg).abs() < 1e-12, "avg view parity (trial {trial}, k={k})");
-                assert_eq!(StateMetrics::view_sizes(&state, k), (min, avg));
             }
         }
     }

@@ -22,7 +22,6 @@ use crate::fingerprint::CycleDetector;
 use crate::metrics::MeasureScratch;
 use crate::view_cache::{CacheStats, ViewCache};
 use crate::StateMetrics;
-use ncg_graph::batch::batch_enabled;
 
 /// Configuration of one dynamics run.
 #[derive(Debug, Clone, Copy)]
@@ -45,12 +44,6 @@ pub struct DynamicsConfig {
     /// flag exists for A/B benchmarks and belt-and-braces parity
     /// tests).
     pub use_view_cache: bool,
-    /// Use the 64-lane bit-parallel BFS kernels for metric sweeps and
-    /// the view cache's round-start prefetch (on by default unless
-    /// `NCG_BATCH_BFS=0`; results are bit-identical either way, the
-    /// flag exists for in-process A/B parity tests that cannot safely
-    /// mutate the environment).
-    pub batch_bfs: bool,
 }
 
 impl DynamicsConfig {
@@ -64,7 +57,6 @@ impl DynamicsConfig {
             per_round_metrics: false,
             record_trace: false,
             use_view_cache: true,
-            batch_bfs: batch_enabled(),
         }
     }
 
@@ -91,14 +83,6 @@ impl DynamicsConfig {
     /// did. Outcomes are identical; only the work differs.
     pub fn without_view_cache(mut self) -> Self {
         self.use_view_cache = false;
-        self
-    }
-
-    /// Pins the scalar BFS kernels (disables 64-lane batching) for
-    /// this run regardless of `NCG_BATCH_BFS`. Outcomes are identical;
-    /// only the work differs.
-    pub fn without_batch_bfs(mut self) -> Self {
-        self.batch_bfs = false;
         self
     }
 }
@@ -267,9 +251,6 @@ fn run_core<B: BestResponder>(
     let mut state = initial;
     let spec = config.spec;
     let n = state.n();
-    if let Some(cache) = cache.as_mut() {
-        cache.set_batch_bfs(config.batch_bfs);
-    }
     let mut detector = CycleDetector::new(&state);
     let mut total_moves = 0usize;
     let mut solver_calls = 0usize;
@@ -280,8 +261,7 @@ fn run_core<B: BestResponder>(
         let mut moves_this_round = 0usize;
         // Round-start batched prefetch: rebuild every dirty player's
         // view in 64-lane ball sweeps before the state can change this
-        // round (no-op when batching is off; mid-round invalidation
-        // clears the fresh bits it sets).
+        // round (mid-round invalidation clears the fresh bits it sets).
         if let Some(cache) = cache.as_mut() {
             cache.prefetch(&state);
         }
@@ -334,12 +314,7 @@ fn run_core<B: BestResponder>(
         }
         total_moves += moves_this_round;
         if config.per_round_metrics {
-            round_metrics.push(StateMetrics::measure_with_policy(
-                &state,
-                &spec,
-                measure,
-                config.batch_bfs,
-            ));
+            round_metrics.push(StateMetrics::measure_with(&state, &spec, measure));
         }
         if moves_this_round == 0 {
             outcome = Outcome::Converged { rounds: round };
@@ -352,7 +327,7 @@ fn run_core<B: BestResponder>(
             break;
         }
     }
-    let final_metrics = StateMetrics::measure_with_policy(&state, &spec, measure, config.batch_bfs);
+    let final_metrics = StateMetrics::measure_with(&state, &spec, measure);
     RunResult {
         outcome,
         state,
@@ -648,46 +623,6 @@ mod tests {
         assert_eq!(warm.state, cold.state);
         assert_eq!(warm.solver_calls, cold.solver_calls);
         assert_eq!(warm.cache_stats, cold.cache_stats);
-    }
-
-    #[test]
-    fn batched_and_scalar_kernels_produce_bitwise_identical_runs() {
-        // The pinned-off flag (not the environment, which is read
-        // once per process) drives the A/B: full traces, per-round
-        // metrics, solver-call counts, and cache statistics must all
-        // agree, with the view cache both on and off, on instances
-        // large enough to exercise multiple lane groups.
-        let mut rng = ChaCha8Rng::seed_from_u64(41);
-        let mut initials = vec![GameState::cycle_successor(70)];
-        for n in [24usize, 66] {
-            let tree = ncg_graph::generators::random_tree(n, &mut rng);
-            initials.push(GameState::from_graph_random_ownership(&tree, &mut rng));
-        }
-        for initial in initials {
-            for (alpha, k) in [(0.5, 2u32), (1.5, 3)] {
-                let base = DynamicsConfig::new(GameSpec::max(alpha, k))
-                    .with_per_round_metrics()
-                    .with_trace();
-                for cached in [true, false] {
-                    let base = if cached { base } else { base.without_view_cache() };
-                    let batched = run(initial.clone(), &DynamicsConfig { batch_bfs: true, ..base });
-                    let scalar = run(initial.clone(), &base.without_batch_bfs());
-                    let tag = format!("α={alpha} k={k} cached={cached}");
-                    assert_eq!(batched.outcome, scalar.outcome, "{tag}");
-                    assert_eq!(batched.state, scalar.state, "{tag}");
-                    assert_eq!(batched.total_moves, scalar.total_moves, "{tag}");
-                    assert_eq!(batched.solver_calls, scalar.solver_calls, "{tag}");
-                    assert_eq!(batched.cache_stats, scalar.cache_stats, "{tag}");
-                    assert_eq!(batched.round_metrics, scalar.round_metrics, "{tag}");
-                    assert_eq!(batched.final_metrics, scalar.final_metrics, "{tag}");
-                    assert_eq!(
-                        batched.trace.as_ref().map(|t| &t.events),
-                        scalar.trace.as_ref().map(|t| &t.events),
-                        "{tag}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]

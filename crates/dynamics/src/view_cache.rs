@@ -32,7 +32,7 @@
 //! *and* the solver call for her entirely.
 
 use ncg_core::{EdgeDiff, GameState, PlayerView, ViewScratch};
-use ncg_graph::batch::{batch_bfs, batch_enabled, BatchDistances, BatchScratch, WORD_LANES};
+use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
 use ncg_graph::bfs::{bfs_multi_bounded, DistanceBuffer};
 use ncg_graph::NodeId;
 
@@ -69,7 +69,6 @@ pub struct ViewCache {
     /// [`ViewCache::prefetch`] and not invalidated since: their next
     /// [`ViewCache::refresh`] consumes the slot as-is.
     fresh: Vec<bool>,
-    batch: bool,
     scratch: ViewScratch,
     bfs: DistanceBuffer,
     touched: Vec<NodeId>,
@@ -89,7 +88,6 @@ impl ViewCache {
             views: vec![None; n],
             dirty: vec![true; n],
             fresh: vec![false; n],
-            batch: batch_enabled(),
             scratch: ViewScratch::new(),
             bfs: DistanceBuffer::new(),
             touched: Vec::new(),
@@ -99,16 +97,6 @@ impl ViewCache {
             ball: Vec::new(),
             stats: CacheStats::default(),
         }
-    }
-
-    /// Pins whether [`ViewCache::prefetch`] uses the 64-lane batched
-    /// ball kernel (`true`) or is a no-op (`false`, the scalar path).
-    /// Defaults to [`ncg_graph::batch::batch_enabled`]; the dynamics
-    /// runner pins it from its config so in-process A/B comparisons
-    /// need no environment mutation.
-    #[inline]
-    pub fn set_batch_bfs(&mut self, on: bool) {
-        self.batch = on;
     }
 
     /// The knowledge radius the cache was built for.
@@ -187,12 +175,8 @@ impl ViewCache {
     /// top of each round, and any mid-round move's invalidation sweep
     /// clears the fresh bit of every player it reaches, so a view is
     /// consumed fresh only if nothing in her ball moved since the
-    /// prefetch. No-op unless batching is on ([`ViewCache::set_batch_bfs`]);
-    /// touches neither the dirty bits nor the statistics.
+    /// prefetch. Touches neither the dirty bits nor the statistics.
     pub fn prefetch(&mut self, state: &GameState) {
-        if !self.batch {
-            return;
-        }
         self.prefetch_sources.clear();
         self.prefetch_sources.extend(
             (0..state.n() as NodeId).filter(|&u| self.dirty[u as usize] && !self.fresh[u as usize]),
@@ -311,7 +295,7 @@ impl ViewCache {
         for &v in self.bfs.visited() {
             self.dirty[v as usize] = true;
             // A prefetched view inside the invalidation radius is no
-            // longer trustworthy; force a scalar rebuild at refresh.
+            // longer trustworthy; force an in-place rebuild at refresh.
             self.fresh[v as usize] = false;
         }
     }
@@ -429,7 +413,6 @@ mod tests {
         let mut state = GameState::cycle_successor(70);
         let k = 2;
         let mut cache = ViewCache::new(70, k);
-        cache.set_batch_bfs(true);
         // Round-start prefetch over >64 dirty players (two lane
         // groups, one partial): every refresh must consume the
         // prefetched slot and still equal a plain build.
@@ -451,13 +434,11 @@ mod tests {
                 assert_eq!(cache.refresh(&state, u), &PlayerView::build(&state, u, k));
             }
         }
-        // With batching pinned off, prefetch is a no-op and refresh
-        // takes the scalar path — same views either way.
-        let mut scalar = ViewCache::new(70, k);
-        scalar.set_batch_bfs(false);
-        scalar.prefetch(&state);
+        // Without a prefetch, refresh builds each view in place —
+        // same views either way.
+        let mut plain = ViewCache::new(70, k);
         for u in 0..70u32 {
-            assert_eq!(scalar.refresh(&state, u), cache.view(u).unwrap());
+            assert_eq!(plain.refresh(&state, u), cache.view(u).unwrap());
         }
     }
 

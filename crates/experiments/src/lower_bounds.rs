@@ -5,16 +5,17 @@
 //! witnessed PoA (`SC/OPT`), and the theory bound at the same
 //! parameters.
 //!
-//! This sweep was the last caller that re-solved every construction
-//! from a cold scratch on a single core. Certification now routes
-//! through `ncg_solver::is_lke_par`: the `n` best responses of each
-//! gadget fan out over the work-stealing pool with one `Responder`
-//! (hence one warm `SolverScratch`) per worker, and a found violation
-//! short-circuits the remaining players. (Inside pool workers the
-//! individual solves stay sequential — the player fan-out is the
-//! parallelism; the §8 frontier split serves top-level callers.) The
-//! table bytes are independent of `NCG_THREADS` — the CI determinism
-//! job diffs them across thread counts.
+//! Certification routes through `ncg_solver::is_lke`: the `n` best
+//! responses of each gadget fan out in 64-player lane groups over the
+//! work-stealing pool with one `Responder` (hence one warm
+//! `SolverScratch`) per worker, and a found violation short-circuits
+//! the remaining players. (Inside pool workers the individual solves
+//! stay sequential — the player fan-out is the parallelism.) The table
+//! bytes are independent of `NCG_THREADS` — the CI determinism job
+//! diffs them across thread counts.
+//!
+//! The "theory LB" column prints `n/a` wherever a theorem's
+//! applicability conditions fail at the instance's parameters.
 
 use ncg_constructions::{cycle, high_girth, TorusGrid};
 use ncg_core::GameSpec;
@@ -58,7 +59,7 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
             format!("Max α={alpha} k={k}"),
             cycle::certify(n, &spec).to_string(),
             format!("{:.2}", cycle::witnessed_poa(n, &spec)),
-            format!("{:.2}", ncg_bounds::maxncg::lb_cycle(n, alpha, k).unwrap_or(1.0)),
+            theory_lb(ncg_bounds::maxncg::lb_cycle(n, alpha, k)),
         ]);
     }
 
@@ -74,7 +75,7 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
         "Max α=5 k=2".to_string(),
         gadget.certify(&spec).to_string(),
         format!("{:.2}", gadget.witnessed_poa(&spec).unwrap_or(f64::NAN)),
-        format!("{:.2}", (hg_n as f64).powf(1.0 / 2.0)),
+        theory_lb(ncg_bounds::maxncg::lb_high_girth(hg_n, spec.alpha, spec.k)),
     ]);
     let sum_spec = GameSpec::sum((2 * hg_n) as f64, 2);
     table.push_row([
@@ -84,7 +85,7 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
         format!("Sum α={} k=2", 2 * hg_n),
         gadget.certify(&sum_spec).to_string(),
         format!("{:.2}", gadget.witnessed_poa(&sum_spec).unwrap_or(f64::NAN)),
-        format!("{:.2}", (hg_n as f64).powf(1.0 / 2.0)),
+        theory_lb(ncg_bounds::sumncg::lb_high_girth(hg_n, sum_spec.alpha, sum_spec.k)),
     ]);
 
     // Theorem 3.12 — MaxNCG torus.
@@ -100,7 +101,7 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
             format!("Max α={alpha} k={k}"),
             t.certify(&spec).to_string(),
             format!("{:.2}", t.witnessed_poa(&spec).unwrap_or(f64::NAN)),
-            format!("{:.2}", ncg_bounds::maxncg::lb_torus(t.n(), alpha, k).unwrap_or(1.0)),
+            theory_lb(ncg_bounds::maxncg::lb_torus(t.n(), alpha, k)),
         ]);
     }
 
@@ -120,12 +121,20 @@ pub fn run(profile: &Profile) -> ExperimentOutput {
             format!("Sum α={alpha} k={k}"),
             t.certify(&spec).to_string(),
             format!("{:.2}", t.witnessed_poa(&spec).unwrap_or(f64::NAN)),
-            format!("{:.2}", ncg_bounds::sumncg::lb_torus(t.n(), alpha, k).unwrap_or(1.0)),
+            theory_lb(ncg_bounds::sumncg::lb_torus(t.n(), alpha, k)),
         ]);
     }
 
     out.push_table("certifications", table);
     out
+}
+
+/// The "theory LB" cell: the theorem's bound at the instance's
+/// parameters, or `n/a` where its applicability conditions fail (a
+/// gadget can certify outside the asymptotic regime its theorem
+/// bounds).
+fn theory_lb(bound: Option<f64>) -> String {
+    bound.map_or_else(|| "n/a".to_string(), |lb| format!("{lb:.2}"))
 }
 
 #[cfg(test)]
@@ -140,5 +149,19 @@ mod tests {
             !csv.contains("false"),
             "every gadget inside its premise must certify as an LKE:\n{csv}"
         );
+    }
+
+    #[test]
+    fn inapplicable_theory_bounds_print_na() {
+        // At n = 48, Theorem 3.12's `k ≤ 2^{√(log₂ n) − 3}` fails, so the
+        // row has no theory bound — not a vacuous 1.00.
+        assert_eq!(ncg_bounds::maxncg::lb_torus(48, 2.0, 2), None);
+        let csv = run(&Profile::smoke()).tables[0].1.render(ncg_stats::TableStyle::Csv);
+        let row = csv
+            .lines()
+            .find(|line| line.starts_with("torus (Thm 3.12)") && line.contains(",48,"))
+            .unwrap_or_else(|| panic!("no n = 48 torus row:\n{csv}"));
+        assert!(row.ends_with(",n/a"), "inapplicable bound must print n/a: {row}");
+        assert_eq!(theory_lb(Some(7.745)), "7.75");
     }
 }

@@ -61,12 +61,13 @@ pub mod sum_br;
 pub mod sum_engine;
 
 use ncg_core::deviation::EvalScratch;
-use ncg_core::equilibrium::{self, BestResponder, Deviation};
+use ncg_core::equilibrium::{BestResponder, Deviation};
 use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
-use ncg_graph::batch::{batch_bfs, batch_enabled, BatchDistances, BatchScratch, WORD_LANES};
+use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
 use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Search effort: exact optimisation or the greedy/heuristic variant
 /// (the ablation axis of the benchmark suite).
@@ -92,49 +93,20 @@ pub enum Mode {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelPolicy {
     /// Ground sets (view sizes) strictly smaller than this always
-    /// solve sequentially *until a solve-time estimate exists* (and
-    /// always, when `adaptive` is off). The default keeps the
-    /// ≈100-node full-knowledge views of the paper's dynamics —
-    /// ~0.7 ms solves — on the sequential fast path while the
-    /// certification-scale instances beyond it fan out.
+    /// solve sequentially. The default keeps the ≈100-node
+    /// full-knowledge views of the paper's dynamics — ~0.7 ms solves —
+    /// on the sequential fast path while the certification-scale
+    /// instances beyond it fan out.
     pub min_ground: usize,
     /// Root-frontier subproblems per worker (the `C` in the `W·C`
     /// frontier target): enough slack for the steal-half scheduler to
     /// rebalance uneven subtrees.
     pub per_worker: usize,
-    /// Derive the cutover from *measured* per-node solve times once a
-    /// [`SolveEstimate`] has samples, instead of the static
-    /// `min_ground` size threshold (on by default). Decisions may then
-    /// differ run to run with the machine's load — harmless, because
-    /// every engine is bit-identical for any worker count. Pinned off
-    /// by [`ParallelPolicy::sequential`] and by the
-    /// `NCG_PAR_MIN_GROUND` environment override.
-    pub adaptive: bool,
-}
-
-/// Ground sets below this never fan out, whatever the estimate says:
-/// at dynamics-view scale the frontier expansion plus per-worker
-/// engine snapshots cost more than the solve.
-pub const ADAPTIVE_FLOOR: usize = 24;
-
-/// Predicted sequential solve time (nanoseconds) above which fanning
-/// out pays for its setup — about 2 ms, a few hundred times the
-/// per-worker snapshot cost.
-pub const ADAPTIVE_CUTOVER_NANOS: f64 = 2_000_000.0;
-
-/// Parses the `NCG_PAR_MIN_GROUND` override: a plain ground-set size
-/// that pins the static threshold (and disables adaptation). Pure, so
-/// it is testable without racing the process environment.
-pub fn min_ground_override(raw: Option<&str>) -> Option<usize> {
-    raw?.trim().parse().ok()
 }
 
 impl Default for ParallelPolicy {
     fn default() -> Self {
-        match min_ground_override(std::env::var("NCG_PAR_MIN_GROUND").ok().as_deref()) {
-            Some(pinned) => ParallelPolicy { min_ground: pinned, per_worker: 8, adaptive: false },
-            None => ParallelPolicy { min_ground: 112, per_worker: 8, adaptive: true },
-        }
+        ParallelPolicy { min_ground: 112, per_worker: 8 }
     }
 }
 
@@ -142,78 +114,19 @@ impl ParallelPolicy {
     /// A policy that never parallelises (single-core ablations, bench
     /// baselines).
     pub fn sequential() -> Self {
-        ParallelPolicy { min_ground: usize::MAX, adaptive: false, ..Self::default() }
+        ParallelPolicy { min_ground: usize::MAX, ..Self::default() }
     }
 
-    /// Worker count for a solve over `ground` elements under the
-    /// static threshold: 1 below it, otherwise the pool's current
-    /// thread count. Inside a pool worker (a sweep repetition, a
-    /// parallel LKE player) this is 1 by construction, so nested
-    /// solves never over-subscribe.
+    /// Worker count for a solve over `ground` elements: 1 below the
+    /// threshold, otherwise the pool's current thread count. Inside a
+    /// pool worker (a sweep repetition, an LKE lane group) this is 1
+    /// by construction, so nested solves never over-subscribe.
     pub fn workers(&self, ground: usize) -> usize {
         if ground < self.min_ground {
             1
         } else {
             rayon::current_num_threads()
         }
-    }
-
-    /// Worker count for a solve over `ground` elements, preferring the
-    /// measured per-node solve-time estimate when `adaptive` is on and
-    /// samples exist: fan out iff the predicted sequential time clears
-    /// [`ADAPTIVE_CUTOVER_NANOS`] (never below [`ADAPTIVE_FLOOR`]).
-    /// With no samples yet — or with `adaptive` off — this is the
-    /// static [`ParallelPolicy::workers`] threshold.
-    pub fn workers_for(&self, ground: usize, estimate: &SolveEstimate) -> usize {
-        if !self.adaptive {
-            return self.workers(ground);
-        }
-        if ground < ADAPTIVE_FLOOR {
-            return 1;
-        }
-        match estimate.predicted_nanos(ground) {
-            Some(nanos) if nanos >= ADAPTIVE_CUTOVER_NANOS => rayon::current_num_threads(),
-            Some(_) => 1,
-            None => self.workers(ground),
-        }
-    }
-}
-
-/// Running estimate of sequential exact-solve cost, as an exponential
-/// moving average of per-ground-element time. [`SolverScratch`] owns
-/// one; the engines record each *sequential* exact solve of at least
-/// [`ADAPTIVE_FLOOR`] elements, and
-/// [`ParallelPolicy::workers_for`] predicts the next solve's cost from
-/// it. Purely advisory — the solve result is bit-identical however the
-/// decision falls.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolveEstimate {
-    per_node_nanos: f64,
-    samples: u64,
-}
-
-impl SolveEstimate {
-    /// Folds one sequential solve (`ground` elements, `elapsed_nanos`
-    /// wall time) into the moving average.
-    pub fn record(&mut self, ground: usize, elapsed_nanos: u64) {
-        if ground == 0 {
-            return;
-        }
-        let sample = elapsed_nanos as f64 / ground as f64;
-        self.per_node_nanos =
-            if self.samples == 0 { sample } else { 0.7 * self.per_node_nanos + 0.3 * sample };
-        self.samples += 1;
-    }
-
-    /// Predicted sequential solve time over `ground` elements, or
-    /// `None` before the first sample.
-    pub fn predicted_nanos(&self, ground: usize) -> Option<f64> {
-        (self.samples > 0).then_some(self.per_node_nanos * ground as f64)
-    }
-
-    /// Number of solves folded in so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
     }
 }
 
@@ -248,8 +161,6 @@ pub struct SolverScratch {
     /// work-stealing pool. Defaults keep small views sequential;
     /// results are bit-identical under any policy.
     pub parallel: ParallelPolicy,
-    /// Measured solve-time estimate feeding the adaptive policy.
-    pub estimate: SolveEstimate,
 }
 
 impl SolverScratch {
@@ -305,179 +216,78 @@ impl BestResponder for Responder {
 ///
 /// Exact in both directions for both objectives: MaxNCG solves run
 /// the domination branch-and-bound, SumNCG solves the include/exclude
-/// branch-and-bound of [`sum_engine::SumEngine`] (the seed-era
-/// hill-climb fallback — which made SumNCG checks sound only as a
-/// negative certificate — is gone), so a `true` here is a genuine
-/// equilibrium certificate for any view size.
+/// branch-and-bound of [`sum_engine::SumEngine`], so a `true` here is
+/// a genuine equilibrium certificate for any view size.
 ///
-/// Dispatches the view construction to the 64-lane batched ball
-/// kernel ([`is_lke_batched`]) unless `NCG_BATCH_BFS=0`; the verdict
-/// is identical either way.
+/// One CSR freeze, then the players in 64-lane groups fanned out over
+/// the current work-stealing pool: each task runs one bit-parallel
+/// ball sweep for its group and solves the group's players on a
+/// per-worker view slot rebuilt in place, with a per-worker
+/// [`Responder`] (hence one warm [`SolverScratch`]) reused across
+/// every group the worker steals. A found violation sets a shared
+/// flag that makes the remaining players skip their solves. Inside a
+/// pool worker — a sweep repetition, a `par_iter` body — the fan-out
+/// runs inline, and so do the per-player solves, so the machine is
+/// never over-subscribed. The verdict is the scalar
+/// [`ncg_core::equilibrium::is_lke_with`] oracle's at every pool
+/// size.
 pub fn is_lke(state: &GameState, spec: &GameSpec) -> bool {
-    if batch_enabled() {
-        is_lke_batched(state, spec)
-    } else {
-        equilibrium::is_lke_with(state, spec, &mut Responder::exact())
-    }
-}
-
-/// Exact LKE check with the per-player radius-`k` balls computed by
-/// the bit-parallel batched BFS kernel: one CSR freeze, then
-/// `⌈n/64⌉` lane-group sweeps instead of `n` scalar bounded BFS runs,
-/// each lane's ball feeding [`PlayerView::build_from_ball`] (one view
-/// slot rebuilt in place across all players). Player order, early
-/// exit on the first violation, and the verdict are identical to the
-/// scalar [`equilibrium::is_lke_with`] path.
-pub fn is_lke_batched(state: &GameState, spec: &GameSpec) -> bool {
-    let n = state.n();
-    let csr = CsrGraph::from_graph(state.graph());
-    let mut responder = Responder::exact();
-    let mut scratch = BatchScratch::new();
-    let mut dists = BatchDistances::default();
-    let mut vscratch = ViewScratch::new();
-    let mut ball: Vec<NodeId> = Vec::new();
-    let mut sources: Vec<NodeId> = Vec::new();
-    let mut view: Option<PlayerView> = None;
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + WORD_LANES).min(n);
-        sources.clear();
-        sources.extend(lo as NodeId..hi as NodeId);
-        batch_bfs(&csr, &sources, spec.k, &mut scratch, &mut dists);
-        for lane in 0..hi - lo {
-            let u = (lo + lane) as NodeId;
-            dists.lane_ball_into(lane, &mut ball);
-            match view.as_mut() {
-                Some(v) => v.rebuild_from_ball(state, u, spec.k, &ball, &mut vscratch),
-                None => {
-                    view =
-                        Some(PlayerView::build_from_ball(state, u, spec.k, &ball, &mut vscratch));
-                }
-            }
-            let v = view.as_ref().expect("slot filled above");
-            let current = ncg_core::deviation::current_total(spec, v);
-            let best = responder.best_response(spec, v);
-            if GameSpec::strictly_better(best.total_cost, current) {
-                return false;
-            }
-        }
-        lo = hi;
-    }
-    true
-}
-
-/// Exact LKE check with the `n` best responses fanned out over the
-/// work-stealing pool: one [`Responder`] per worker, so each worker's
-/// [`SolverScratch`] (BFS buffers, APSP orders, domination engine) is
-/// reused across all the players it processes. Inside the pool the
-/// per-player solves run on the sequential engine (nested parallelism
-/// is inline, so the machine is never over-subscribed) — the player
-/// fan-out *is* the parallelism here. Same answer as [`is_lke`] on
-/// every input — the per-player verdicts are independent, and both
-/// objectives are exact in both directions. A found violation
-/// short-circuits: the
-/// remaining players skip their solves, mirroring [`is_lke`]'s
-/// first-violation exit up to in-flight work.
-///
-/// This is the certification path of the lower-bound gadget sweeps
-/// (`ncg-constructions`), whose torus and high-girth instances are the
-/// largest exact solves in the workspace.
-pub fn is_lke_par(state: &GameState, spec: &GameSpec) -> bool {
-    use std::sync::atomic::{AtomicBool, Ordering};
     let violated = AtomicBool::new(false);
-    if batch_enabled() {
-        // Batched grain: each pool task certifies one 64-lane group —
-        // a single batched ball sweep on the shared CSR, then the
-        // group's players solved on a per-worker view slot rebuilt in
-        // place. Per-worker state (responder, batch scratch, view
-        // scratch) is reused across all the groups a worker steals.
-        let n = state.n() as NodeId;
-        let csr = CsrGraph::from_graph(state.graph());
-        let starts: Vec<NodeId> = (0..n).step_by(WORD_LANES).collect();
-        let _: Vec<()> = starts
-            .into_par_iter()
-            .map_init(
-                || {
-                    (
-                        Responder::exact(),
-                        BatchScratch::new(),
-                        BatchDistances::default(),
-                        ViewScratch::new(),
-                        Vec::<NodeId>::new(),
-                        Vec::<NodeId>::new(),
-                        None::<PlayerView>,
-                    )
-                },
-                |(responder, scratch, dists, vscratch, ball, sources, view), lo| {
+    let n = state.n() as NodeId;
+    let csr = CsrGraph::from_graph(state.graph());
+    let starts: Vec<NodeId> = (0..n).step_by(WORD_LANES).collect();
+    let _: Vec<()> = starts
+        .into_par_iter()
+        .map_init(
+            || {
+                (
+                    Responder::exact(),
+                    BatchScratch::new(),
+                    BatchDistances::default(),
+                    ViewScratch::new(),
+                    Vec::<NodeId>::new(),
+                    Vec::<NodeId>::new(),
+                    None::<PlayerView>,
+                )
+            },
+            |(responder, scratch, dists, vscratch, ball, sources, view), lo| {
+                if violated.load(Ordering::Relaxed) {
+                    return;
+                }
+                let hi = (lo + WORD_LANES as NodeId).min(n);
+                sources.clear();
+                sources.extend(lo..hi);
+                batch_bfs(&csr, sources, spec.k, scratch, dists);
+                for lane in 0..(hi - lo) as usize {
                     if violated.load(Ordering::Relaxed) {
                         return;
                     }
-                    let hi = (lo + WORD_LANES as NodeId).min(n);
-                    sources.clear();
-                    sources.extend(lo..hi);
-                    batch_bfs(&csr, sources, spec.k, scratch, dists);
-                    for lane in 0..(hi - lo) as usize {
-                        if violated.load(Ordering::Relaxed) {
-                            return;
-                        }
-                        let u = lo + lane as NodeId;
-                        dists.lane_ball_into(lane, ball);
-                        match view.as_mut() {
-                            Some(v) => v.rebuild_from_ball(state, u, spec.k, ball, vscratch),
-                            None => {
-                                *view = Some(PlayerView::build_from_ball(
-                                    state, u, spec.k, ball, vscratch,
-                                ));
-                            }
-                        }
-                        let v = view.as_ref().expect("slot filled above");
-                        let current = ncg_core::deviation::current_total(spec, v);
-                        let best = responder.best_response(spec, v);
-                        if GameSpec::strictly_better(best.total_cost, current) {
-                            violated.store(true, Ordering::Relaxed);
+                    let u = lo + lane as NodeId;
+                    dists.lane_ball_into(lane, ball);
+                    match view.as_mut() {
+                        Some(v) => v.rebuild_from_ball(state, u, spec.k, ball, vscratch),
+                        None => {
+                            *view =
+                                Some(PlayerView::build_from_ball(state, u, spec.k, ball, vscratch));
                         }
                     }
-                },
-            )
-            .collect();
-        return !violated.load(Ordering::Relaxed);
-    }
-    let _: Vec<()> = (0..state.n() as NodeId)
-        .into_par_iter()
-        .map_init(Responder::exact, |responder, u| {
-            if violated.load(Ordering::Relaxed) {
-                return;
-            }
-            let view = PlayerView::build(state, u, spec.k);
-            let current = ncg_core::deviation::current_total(spec, &view);
-            let best = responder.best_response(spec, &view);
-            if GameSpec::strictly_better(best.total_cost, current) {
-                violated.store(true, Ordering::Relaxed);
-            }
-        })
+                    let v = view.as_ref().expect("slot filled above");
+                    let current = ncg_core::deviation::current_total(spec, v);
+                    let best = responder.best_response(spec, v);
+                    if GameSpec::strictly_better(best.total_cost, current) {
+                        violated.store(true, Ordering::Relaxed);
+                    }
+                }
+            },
+        )
         .collect();
     !violated.load(Ordering::Relaxed)
-}
-
-/// First improving player found by the exact responder, with her
-/// deviation translated to global node ids.
-pub fn improving_player(state: &GameState, spec: &GameSpec) -> Option<(NodeId, Vec<NodeId>, f64)> {
-    let mut responder = Responder::exact();
-    for u in 0..state.n() as NodeId {
-        let view = PlayerView::build(state, u, spec.k);
-        let current = ncg_core::deviation::current_total(spec, &view);
-        let best = responder.best_response(spec, &view);
-        if GameSpec::strictly_better(best.total_cost, current) {
-            let global = view.strategy_to_global(&best.strategy_local);
-            return Some((u, global, best.total_cost));
-        }
-    }
-    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ncg_core::equilibrium::is_lke_with;
 
     #[test]
     fn responder_dispatches_both_objectives() {
@@ -499,15 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn improving_player_reports_global_strategy() {
-        let state = GameState::cycle_successor(16);
-        let spec = GameSpec::max(0.1, 8);
-        let (u, strategy, cost) = improving_player(&state, &spec).unwrap();
-        assert!(cost.is_finite());
-        assert!(strategy.iter().all(|&v| (v as usize) < state.n() && v != u));
-    }
-
-    #[test]
     fn star_is_stable_for_both_objectives() {
         let state = GameState::star_center_owned(12);
         assert!(is_lke(&state, &GameSpec::max(2.0, 4)));
@@ -516,10 +317,12 @@ mod tests {
 
     #[test]
     fn batched_certification_matches_the_scalar_path() {
-        // `is_lke_batched` and `is_lke_par` must agree with the scalar
-        // `equilibrium::is_lke_with` verdict on positive and negative
+        // The one certifier must agree with the scalar
+        // `equilibrium::is_lke_with` oracle on positive and negative
         // instances, both objectives, including >64-player states
-        // (multiple lane groups, one partial).
+        // (multiple lane groups, one partial) — at every pool size and
+        // when called from inside a pool worker, where its fan-out runs
+        // inline.
         use rand::SeedableRng;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(52);
         let mut states = vec![
@@ -529,30 +332,35 @@ mod tests {
         ];
         let tree = ncg_graph::generators::random_tree(30, &mut rng);
         states.push(GameState::from_graph_random_ownership(&tree, &mut rng));
+        let specs = [
+            GameSpec::max(2.0, 2),
+            GameSpec::max(0.1, 4),
+            GameSpec::sum(2.0, 3),
+            GameSpec::sum(0.4, 3),
+        ];
+        let mut cases = Vec::new();
         for (i, state) in states.iter().enumerate() {
-            for spec in [
-                GameSpec::max(2.0, 2),
-                GameSpec::max(0.1, 4),
-                GameSpec::sum(2.0, 3),
-                GameSpec::sum(0.4, 3),
-            ] {
-                let scalar = equilibrium::is_lke_with(state, &spec, &mut Responder::exact());
+            for spec in specs {
+                let oracle = is_lke_with(state, &spec, &mut Responder::exact());
+                cases.push((i, state, spec, oracle));
+            }
+        }
+        for threads in [1usize, 2, 4] {
+            let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
+            for &(i, state, spec, oracle) in &cases {
                 assert_eq!(
-                    is_lke_batched(state, &spec),
-                    scalar,
-                    "batched verdict (state {i}, α={}, k={})",
-                    spec.alpha,
-                    spec.k
-                );
-                assert_eq!(
-                    is_lke_par(state, &spec),
-                    scalar,
-                    "parallel verdict (state {i}, α={}, k={})",
+                    pool.install(|| is_lke(state, &spec)),
+                    oracle,
+                    "verdict on {threads} threads (state {i}, α={}, k={})",
                     spec.alpha,
                     spec.k
                 );
             }
         }
+        let nested: Vec<bool> =
+            cases.clone().into_par_iter().map(|(_, state, spec, _)| is_lke(state, &spec)).collect();
+        let oracles: Vec<bool> = cases.iter().map(|case| case.3).collect();
+        assert_eq!(nested, oracles, "verdicts from inside pool workers");
     }
 
     #[test]
@@ -564,7 +372,6 @@ mod tests {
         // certificate flips.
         let state = GameState::star_center_owned(30);
         assert!(is_lke(&state, &GameSpec::sum(2.0, 4)));
-        assert!(is_lke_par(&state, &GameSpec::sum(2.0, 4)));
         assert!(!is_lke(&state, &GameSpec::sum(0.5, 4)));
     }
 }

@@ -32,7 +32,7 @@ use ncg_graph::{CsrGraph, NodeId};
 
 use crate::bitset::BitSet;
 use crate::bound::purchase_cutoff;
-use crate::{Mode, SolverScratch, ADAPTIVE_FLOOR};
+use crate::{Mode, SolverScratch};
 
 /// Computes the MaxNCG best response for `view` under `spec`.
 ///
@@ -86,11 +86,8 @@ pub fn max_best_response_with(
     let mut universe = BitSet::full(n_local);
     universe.remove(view.center);
     scratch.engine.reset(universe, &view.incoming);
-    // One fan-out decision per view (not per guess): the adaptive
-    // policy consults the measured per-node solve estimate, and the
-    // sequential path below feeds it after the loop.
-    let workers = scratch.parallel.workers_for(n_local, &scratch.estimate);
-    let solve_start = std::time::Instant::now();
+    // One fan-out decision per view (not per guess).
+    let workers = scratch.parallel.workers(n_local);
     for h in 1..=h_cap {
         if h as f64 >= best.total_cost - ncg_core::EPS {
             break;
@@ -125,9 +122,6 @@ pub fn max_best_response_with(
         if is_better(spec, &strategy, cost, &best) {
             best = Deviation { strategy_local: strategy, total_cost: cost };
         }
-    }
-    if workers <= 1 && mode == Mode::Exact && n_local >= ADAPTIVE_FLOOR {
-        scratch.estimate.record(n_local, solve_start.elapsed().as_nanos() as u64);
     }
     best
 }
