@@ -1,6 +1,6 @@
 //! Best-response engine benchmarks: the Section 5.3 reduction (our
-//! Gurobi replacement) across view sizes, exact vs greedy, Max vs Sum,
-//! and the incremental engine against the seed per-`h` rebuild loop.
+//! Gurobi replacement) across view sizes, exact vs greedy, and Max vs
+//! Sum.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ncg_core::{GameSpec, GameState, PlayerView};
@@ -33,8 +33,8 @@ fn bench_max_exact(c: &mut Criterion) {
         });
     }
     // Full-knowledge views on the paper's n = 100 ER row: the
-    // incremental engine with reused scratch (the dynamics hot path),
-    // the per-call-scratch variant, and the seed rebuild baseline.
+    // incremental engine with reused scratch (the dynamics hot path)
+    // and the per-call-scratch variant.
     let er = er_state(100, 0.1, 2);
     let spec = GameSpec::max(1.0, 1000);
     let view = PlayerView::build(&er, 0, 1000);
@@ -44,9 +44,6 @@ fn bench_max_exact(c: &mut Criterion) {
     });
     group.bench_function("er100_full_view_cold_scratch", |b| {
         b.iter(|| max_br::max_best_response(&spec, &view, Mode::Exact))
-    });
-    group.bench_function("er100_full_view_rebuild", |b| {
-        b.iter(|| max_br::max_best_response_cost_rebuild(&spec, &view))
     });
     group.finish();
 }

@@ -15,7 +15,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::{GameSpec, GameState, Objective};
 use ncg_dynamics::{run, DynamicsConfig};
-use ncg_experiments::{sweep, workloads};
+use ncg_experiments::engine::{self, SweepContext};
+use ncg_experiments::sweep::SweepSpec;
 use ncg_graph::NodeId;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -79,11 +80,16 @@ fn bench_sweep_skewed(c: &mut Criterion) {
     // 2 α × 2 k × 4 reps = 16 cells; the k = 1000 column dominates the
     // total work by a wide margin, so static chunking leaves most
     // workers idle while one grinds through the heavy cells.
-    let states = workloads::tree_states(60, 4, 5);
-    let alphas = [0.5, 2.0];
-    let ks = [2u32, 1000];
+    let specs =
+        [SweepSpec::tree("skewed", 60, 4, 5, vec![0.5, 2.0], vec![2, 1000], Objective::Max)];
     group.bench_function("tree60_heavy_tail", |b| {
-        b.iter(|| sweep::sweep(&states, &alphas, &ks, Objective::Max, None))
+        b.iter(|| {
+            let mut moves = 0;
+            engine::execute(&SweepContext::local(), "bench", &specs, &mut |_, _, rec| {
+                moves += rec.moves
+            });
+            moves
+        })
     });
     group.finish();
 }

@@ -31,16 +31,17 @@
 //! in canonical order: sweeps in plan order, cells by linear index.
 //!
 //! Failure isolation: a cell whose solve panics (caught in
-//! `run_cells`) is journaled as a `CellFailed` marker and the rest of
-//! the sweep completes; `execute` then panics with a summary instead
-//! of rendering tables from a hole-y grid. Re-running the experiment
-//! retries exactly the failed cells (completed ones resume from the
-//! journal).
+//! [`crate::sweep::solve_cell`]) is journaled as a `CellFailed`
+//! marker and the rest of the sweep completes; `execute` then panics
+//! with a summary instead of rendering tables from a hole-y grid.
+//! Re-running the experiment retries exactly the failed cells
+//! (completed ones resume from the journal).
 //!
 //! Fault injection: when the process-level `NCG_FAULT` plan is set
 //! (see [`crate::fault`]), the engine wires it through — the journal
 //! writer arms `torn_write`, the sink counts results for
-//! `kill_after_cells`, and `run_cells` injects `panic_cell`.
+//! `kill_after_cells`, and [`run_spec_cells`] injects `panic_cell` into
+//! the plan's first sweep (as the lease-queue worker does).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -377,7 +378,7 @@ fn run_shard(
                 }
             },
             None,
-            fault.as_deref(),
+            fault.as_deref().filter(|_| si == 0),
         );
         let mut s = sink.into_inner();
         if do_fold {
@@ -492,6 +493,17 @@ fn merge(
         journal: Some(merged_path),
         shard: None,
     }
+}
+
+/// Every record of `spec`'s grid in canonical order, from a local
+/// journal-free run — the unit tests' view of a whole sweep.
+#[cfg(test)]
+pub(crate) fn records(spec: &SweepSpec) -> Vec<RunRecord> {
+    let mut out = Vec::with_capacity(spec.cell_count());
+    execute(&SweepContext::local(), "test", std::slice::from_ref(spec), &mut |_, _, record| {
+        out.push(record.clone())
+    });
+    out
 }
 
 /// An `α × k` grid of streaming [`Accumulator`]s — the fold-side

@@ -17,7 +17,7 @@
 //! | `torn_write:N` | on the `N`-th journal append (1-based), write only half the line, flush, and abort — a torn line a crash-safe resume must truncate away |
 //! | `dup_complete` | report every completed cell twice (idempotence probe) |
 //! | `stall:N` | after `N` completed cells, lease one more cell and hang forever without heartbeating — the straggler the lease timeout exists for |
-//! | `panic_cell:N` | panic inside the solve of canonical cell `N` of the first sweep — exercises the `catch_unwind` isolation in `run_cells` |
+//! | `panic_cell:N` | panic inside the solve of canonical cell `N` of the first sweep — exercises the panic isolation of `sweep::solve_cell`, locally and in `work` |
 //!
 //! The *decisions* (`should_…` methods) are pure counter logic and
 //! unit-tested in-process; the *actions* that end the process

@@ -90,22 +90,18 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep;
-    use crate::workloads;
-    use ncg_dynamics::Outcome;
 
     #[test]
     fn convergence_is_fast_on_trees() {
         // The paper's ≤7-rounds claim, scaled down.
         let reps = 4;
-        let states = workloads::tree_states(30, reps, 17);
-        let results = sweep(&states, &[0.5, 2.0, 10.0], &[2, 1000], Objective::Max, None);
+        let spec =
+            SweepSpec::tree("t", 30, reps, 17, vec![0.5, 2.0, 10.0], vec![2, 1000], Objective::Max);
+        let results = engine::records(&spec);
         let mut converged = 0;
-        for c in &results {
-            if let Outcome::Converged { rounds } = c.result.outcome {
-                converged += 1;
-                assert!(rounds <= 12, "slow convergence: {rounds} rounds");
-            }
+        for c in results.iter().filter(|c| c.converged) {
+            converged += 1;
+            assert!(c.rounds <= 12, "slow convergence: {} rounds", c.rounds);
         }
         assert!(
             converged * 10 >= results.len() * 9,

@@ -64,8 +64,6 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{by_cell, sweep};
-    use crate::workloads;
 
     #[test]
     fn view_sizes_grow_with_k_and_shrink_with_alpha() {
@@ -78,12 +76,20 @@ mod tests {
             ..Profile::smoke()
         };
         let n = 24;
-        let states = workloads::tree_states(n, profile.reps, profile.base_seed);
-        let results = sweep(&states, &profile.alphas, &profile.ks, Objective::Max, None);
-        let grouped = by_cell(&results, &profile.alphas, &profile.ks, profile.reps);
+        let spec = SweepSpec::tree(
+            "t",
+            n,
+            profile.reps,
+            profile.base_seed,
+            profile.alphas.clone(),
+            profile.ks.clone(),
+            Objective::Max,
+        );
+        let results = engine::records(&spec);
+        let grouped: Vec<_> = results.chunks(profile.reps).collect();
         let mean_view = |ai: usize, ki: usize| {
-            let (_, cells) = grouped[ai * 2 + ki];
-            cells.iter().map(|c| c.result.final_metrics.avg_view).sum::<f64>() / cells.len() as f64
+            let cells = grouped[ai * 2 + ki];
+            cells.iter().map(|c| c.avg_view).sum::<f64>() / cells.len() as f64
         };
         // k = 1000 sees everything.
         assert!((mean_view(0, 1) - n as f64).abs() < 1e-9);

@@ -69,8 +69,6 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep;
-    use crate::workloads;
 
     #[test]
     fn two_panels_with_one_row_per_n() {
@@ -86,10 +84,17 @@ mod tests {
         // The Θ(n) regime: at α = 10, k = 2, quality grows with n.
         let profile = Profile { reps: 4, ..Profile::smoke() };
         let q = |n: usize| {
-            let states = workloads::tree_states(n, profile.reps, profile.base_seed);
-            let results = sweep(&states, &[10.0], &[2], Objective::Max, None);
-            let vals: Vec<f64> =
-                results.iter().filter_map(|c| c.result.final_metrics.quality).collect();
+            let spec = SweepSpec::tree(
+                "t",
+                n,
+                profile.reps,
+                profile.base_seed,
+                vec![10.0],
+                vec![2],
+                Objective::Max,
+            );
+            let results = engine::records(&spec);
+            let vals: Vec<f64> = results.iter().filter_map(|c| c.quality).collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
         let q_small = q(16);
@@ -106,10 +111,17 @@ mod tests {
         // or low-diameter graphs; quality stays small and flat-ish.
         let profile = Profile { reps: 3, ..Profile::smoke() };
         let q = |n: usize| {
-            let states = workloads::tree_states(n, profile.reps, profile.base_seed);
-            let results = sweep(&states, &[1.0], &[1000], Objective::Max, None);
-            let vals: Vec<f64> =
-                results.iter().filter_map(|c| c.result.final_metrics.quality).collect();
+            let spec = SweepSpec::tree(
+                "t",
+                n,
+                profile.reps,
+                profile.base_seed,
+                vec![1.0],
+                vec![1000],
+                Objective::Max,
+            );
+            let results = engine::records(&spec);
+            let vals: Vec<f64> = results.iter().filter_map(|c| c.quality).collect();
             vals.iter().sum::<f64>() / vals.len() as f64
         };
         let a = q(16);

@@ -97,8 +97,6 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{by_cell, sweep};
-    use crate::workloads;
 
     #[test]
     fn tables_have_trend_column_and_k_rows() {
@@ -114,12 +112,19 @@ mod tests {
         // knowledge improves (or at least never hurts) quality at α=2.
         let profile = Profile { reps: 4, ..Profile::smoke() };
         let n = 32;
-        let states = workloads::tree_states(n, profile.reps, profile.base_seed);
-        let results = sweep(&states, &[ALPHA], &[2, 1000], Objective::Max, None);
-        let grouped = by_cell(&results, &[ALPHA], &[2, 1000], profile.reps);
+        let spec = SweepSpec::tree(
+            "t",
+            n,
+            profile.reps,
+            profile.base_seed,
+            vec![ALPHA],
+            vec![2, 1000],
+            Objective::Max,
+        );
+        let results = engine::records(&spec);
+        let grouped: Vec<_> = results.chunks(profile.reps).collect();
         let mean_q = |i: usize| {
-            let (_, cells) = grouped[i];
-            let v: Vec<f64> = cells.iter().filter_map(|c| c.result.final_metrics.quality).collect();
+            let v: Vec<f64> = grouped[i].iter().filter_map(|c| c.quality).collect();
             v.iter().sum::<f64>() / v.len() as f64
         };
         assert!(

@@ -63,33 +63,27 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::sweep;
-    use crate::workloads;
 
     #[test]
     fn hubs_form_under_cheap_edges_with_wide_views() {
         let reps = 3;
-        let states = workloads::er_states(30, 0.15, reps, 11);
-        let results = sweep(&states, &[0.1], &[1000], Objective::Max, None);
+        let spec = SweepSpec::er("t", 30, 0.15, reps, 11, vec![0.1], vec![1000], Objective::Max);
+        let results = engine::records(&spec);
         for c in &results {
             // With α = 0.1 and full knowledge the equilibrium is
             // near-star-like: some node has high degree, yet no single
             // player buys anywhere near n edges herself... but the
             // *degree* of the hub (incoming purchases) is large.
-            assert!(
-                c.result.final_metrics.max_degree >= 15,
-                "expected hub formation, max_degree = {}",
-                c.result.final_metrics.max_degree
-            );
+            assert!(c.max_degree >= 15, "expected hub formation, max_degree = {}", c.max_degree);
         }
     }
 
     #[test]
     fn bought_edges_bounded_by_degree() {
-        let out_states = workloads::er_states(24, 0.2, 2, 3);
-        let results = sweep(&out_states, &[0.5, 5.0], &[2, 1000], Objective::Max, None);
+        let spec = SweepSpec::er("t", 24, 0.2, 2, 3, vec![0.5, 5.0], vec![2, 1000], Objective::Max);
+        let results = engine::records(&spec);
         for c in &results {
-            assert!(c.result.final_metrics.max_bought <= c.result.final_metrics.max_degree);
+            assert!(c.max_bought <= c.max_degree);
         }
     }
 

@@ -55,8 +55,6 @@ pub fn run_ctx(profile: &Profile, ctx: &SweepContext) -> ExperimentOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::{by_cell, sweep};
-    use crate::workloads;
 
     #[test]
     fn local_views_are_more_fair_than_full_knowledge() {
@@ -64,13 +62,11 @@ mod tests {
         // unfairness at k = 2 against k = 1000 for a cheap α where
         // full knowledge builds hub-dominated (unfair) networks.
         let reps = 3;
-        let states = workloads::er_states(28, 0.15, reps, 13);
-        let results = sweep(&states, &[0.3], &[2, 1000], Objective::Max, None);
-        let grouped = by_cell(&results, &[0.3], &[2, 1000], reps);
+        let spec = SweepSpec::er("t", 28, 0.15, reps, 13, vec![0.3], vec![2, 1000], Objective::Max);
+        let results = engine::records(&spec);
+        let grouped: Vec<_> = results.chunks(reps).collect();
         let mean_unfair = |i: usize| {
-            let (_, cells) = grouped[i];
-            let v: Vec<f64> =
-                cells.iter().filter_map(|c| c.result.final_metrics.unfairness).collect();
+            let v: Vec<f64> = grouped[i].iter().filter_map(|c| c.unfairness).collect();
             v.iter().sum::<f64>() / v.len() as f64
         };
         let local = mean_unfair(0);
@@ -83,10 +79,10 @@ mod tests {
 
     #[test]
     fn unfairness_at_least_one() {
-        let out_states = workloads::er_states(20, 0.2, 2, 5);
-        let results = sweep(&out_states, &[1.0], &[3], Objective::Max, None);
+        let spec = SweepSpec::er("t", 20, 0.2, 2, 5, vec![1.0], vec![3], Objective::Max);
+        let results = engine::records(&spec);
         for c in &results {
-            if let Some(u) = c.result.final_metrics.unfairness {
+            if let Some(u) = c.unfairness {
                 assert!(u >= 1.0 - 1e-9);
             }
         }

@@ -60,9 +60,10 @@ pub struct JournalEntry {
     pub record: RunRecord,
 }
 
-/// A journaled cell *failure*: the solve panicked and `run_cells`
-/// caught it. Distinguished from [`JournalEntry`] on parse by its
-/// required `failed` field (entries require `record` instead).
+/// A journaled cell *failure*: the solve panicked and
+/// [`crate::sweep::solve_cell`] caught it. Distinguished from
+/// [`JournalEntry`] on parse by its required `failed` field (entries
+/// require `record` instead).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CellFailed {
     /// The sweep's stable label within its experiment.
@@ -184,11 +185,10 @@ impl JournalWriter {
     }
 }
 
-/// Reads a journal, returning its parsable *completed* entries in
-/// file order — the view resume and merge consume. A missing file
-/// reads as empty; failed-cell markers and unparsable lines (a line
-/// truncated by a kill, garbage) are skipped — the engine simply
-/// recomputes those cells.
+/// Reads a journal, returning its *completed* entries in file order
+/// — the view resume and merge consume. Failed-cell markers are
+/// skipped (the engine simply recomputes those cells); everything
+/// else is as in [`read_lines`].
 pub fn read(path: &Path) -> std::io::Result<Vec<JournalEntry>> {
     Ok(read_lines(path)?
         .into_iter()
@@ -199,26 +199,43 @@ pub fn read(path: &Path) -> std::io::Result<Vec<JournalEntry>> {
         .collect())
 }
 
-/// Reads a journal, returning every parsable line (completed and
-/// failed cells) in file order. Unparsable lines are skipped.
+/// Reads a journal, returning every line (completed and failed cells)
+/// in file order. A missing file reads as empty, and an unterminated
+/// final line — the torn tail of a killed append, which
+/// [`JournalWriter::append`] truncates — is skipped. Any other line
+/// that parses as neither kind is corruption: the read fails with
+/// [`std::io::ErrorKind::InvalidData`] naming the path and line
+/// number, rather than letting resume silently recompute the cell and
+/// [`compact`] erase the evidence.
 pub fn read_lines(path: &Path) -> std::io::Result<Vec<JournalLine>> {
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
         Err(e) => return Err(e),
     };
-    // An entry line requires `record`, a failure line requires
-    // `failed`; each parse rejects the other, so trying both is an
-    // unambiguous dispatch.
-    Ok(text
-        .lines()
-        .filter_map(|line| {
-            serde_json::from_str(line)
-                .map(JournalLine::Ok)
-                .or_else(|_| serde_json::from_str(line).map(JournalLine::Failed))
-                .ok()
-        })
-        .collect())
+    let mut lines = Vec::new();
+    for (number, line) in text.split_inclusive('\n').enumerate() {
+        // Only the final line can lack its newline: the torn tail.
+        let Some(line) = line.strip_suffix('\n') else { break };
+        // An entry line requires `record`, a failure line requires
+        // `failed`; each parse rejects the other, so trying both is an
+        // unambiguous dispatch.
+        let parsed = serde_json::from_str(line)
+            .map(JournalLine::Ok)
+            .or_else(|_| serde_json::from_str(line).map(JournalLine::Failed))
+            .map_err(|e| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!(
+                        "{}:{}: corrupt journal line ({e}); fix or delete it and re-run",
+                        path.display(),
+                        number + 1
+                    ),
+                )
+            })?;
+        lines.push(parsed);
+    }
+    Ok(lines)
 }
 
 /// Serialises entries to JSONL text (one line per entry).
@@ -356,6 +373,34 @@ mod tests {
         text.push_str("{\"sweep\":\"main\",\"cell\":1,\"rec");
         fs::write(&path, text).unwrap();
         assert_eq!(read(&path).unwrap(), vec![good]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_mid_file_line_is_an_error_naming_path_and_line() {
+        let dir = temp_path("corrupt");
+        let _ = fs::remove_dir_all(&dir);
+        let path = journal_path(&dir, "demo");
+        let s = spec("main", 0.5, 2, 3);
+        let mut w = JournalWriter::append(&path).unwrap();
+        for cell in 0..3 {
+            w.push(&entry(&s, cell)).unwrap();
+        }
+        drop(w);
+        // Corrupt the middle line's `record` key; the line stays
+        // newline-terminated, so it is not a torn tail.
+        let text = fs::read_to_string(&path).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let bad = lines[1].replacen("\"record\"", "\"recxrd\"", 1);
+        fs::write(&path, format!("{}\n{bad}\n{}\n", lines[0], lines[2])).unwrap();
+        for err in [read(&path).unwrap_err(), read_lines(&path).unwrap_err()] {
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+            let message = err.to_string();
+            assert!(message.contains(&format!("{}:2:", path.display())), "{message}");
+        }
+        let before = fs::read(&path).unwrap();
+        assert!(compact(&path, std::slice::from_ref(&s)).is_err(), "compact must refuse too");
+        assert_eq!(fs::read(&path).unwrap(), before, "and leave the corrupt journal untouched");
         fs::remove_dir_all(&dir).unwrap();
     }
 

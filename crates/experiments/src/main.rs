@@ -172,8 +172,12 @@ fn run() -> ExitCode {
     let mut max_retries = 3usize;
     let mut connect: Option<String> = None;
     let mut worker_id: Option<String> = None;
+    let mut flags: Vec<&str> = Vec::new();
     let mut i = 0;
     while i < args.len() {
+        if args[i].starts_with("--") {
+            flags.push(&args[i]);
+        }
         match args[i].as_str() {
             "--full" | "--paper" => profile = Profile::paper(),
             "--smoke" => profile = Profile::smoke(),
@@ -280,6 +284,25 @@ fn run() -> ExitCode {
         },
         _ => return usage(),
     };
+    // Flags the chosen action would silently ignore are mistakes.
+    let (serving, working) = (matches!(action, Action::Serve), matches!(action, Action::Work));
+    let misplaced = flags.iter().find(|flag| match **flag {
+        "--shards" | "--shard" => serving || working,
+        "--listen" | "--lease-timeout" | "--max-retries" => !serving,
+        "--connect" | "--worker-id" => !working,
+        "--port-file" => !(serving || working),
+        _ => false,
+    });
+    if let Some(flag) = misplaced {
+        let action = match action {
+            Action::Run => "a local run",
+            Action::Merge => "merge",
+            Action::Serve => "serve",
+            Action::Work => "work",
+        };
+        eprintln!("{flag} does not apply to {action}");
+        return usage();
+    }
     match action {
         Action::Serve => {
             return serve(

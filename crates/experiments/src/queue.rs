@@ -24,9 +24,9 @@
 //!   the lease-protocol edge-case tests call it directly.
 //! * [`serve`] / [`work`] — the TCP skins: a non-blocking accept loop
 //!   with one thread per connection, and the worker loop that leases,
-//!   solves (warm-started, panic-isolated via
-//!   [`crate::sweep::solve_cell_guarded`]), heartbeats on a dedicated
-//!   second connection, and reports results idempotently.
+//!   solves (warm-started and panic-isolated by the same
+//!   [`crate::sweep::solve_cell`] a local run uses), heartbeats on a
+//!   dedicated second connection, and reports results idempotently.
 //!
 //! Why retries can't break byte-identical output: a cell's record is
 //! a pure function of `(spec, cell)` — per-rep instance seeds derive
@@ -49,15 +49,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ncg_core::GameState;
-use ncg_dynamics::scale::{ScaleArena, ScaleState};
-use ncg_dynamics::CacheArena;
 use parking_lot::Mutex;
 
 use crate::fault::{self, FaultPlan};
 use crate::journal::{self, CellFailed, JournalEntry, JournalWriter};
 use crate::protocol::{Reply, Request};
-use crate::sweep::{solve_cell_guarded, solve_scale_cell_guarded, RunRecord, SweepSpec};
+use crate::sweep::{solve_cell, Arena, Inputs, RunRecord, SweepSpec};
 
 /// A cell's key in the queue: `(sweep position in the plan, canonical
 /// cell index)`.
@@ -796,19 +793,16 @@ enum SessionEnd {
 }
 
 /// Per-worker solving state, kept across reconnects: lazily sampled
-/// initial states per sweep, and one warm-start arena per
+/// [`Inputs`] per sweep, and one warm-start [`Arena`] per
 /// `(sweep, rep)` — cells of one rep reuse it whenever the queue
 /// happens to hand them to the same worker (bit-identical either
-/// way; the arena is purely a speedup). Scale sweeps keep their own
-/// flat states and [`ScaleArena`]s so a million-node worker never
-/// materialises a `GameState` or an `O(n)`-slot view cache.
+/// way; the arena is purely a speedup). Both come in the sweep's
+/// tier, so a million-node worker never materialises a `GameState`.
 struct Solver<'a> {
     specs: &'a [SweepSpec],
     warm_start: bool,
-    states: HashMap<usize, Vec<GameState>>,
-    arenas: HashMap<(usize, usize), CacheArena>,
-    scale_states: HashMap<usize, Vec<ScaleState>>,
-    scale_arenas: HashMap<(usize, usize), ScaleArena>,
+    inputs: HashMap<usize, Inputs>,
+    arenas: HashMap<(usize, usize), Arena>,
 }
 
 impl Solver<'_> {
@@ -822,45 +816,9 @@ impl Solver<'_> {
         let id = spec.cell(cell);
         // panic_cell targets canonical cell N of the plan's first sweep.
         let inject = si == 0 && fault.is_some_and(|f| f.panics_at_cell(cell));
-        if spec.is_scale() {
-            let states = self.scale_states.entry(si).or_insert_with(|| spec.scale_states());
-            let arena = self.scale_arenas.entry((si, id.rep)).or_default();
-            let (result, final_state) = solve_scale_cell_guarded(
-                &states[id.rep],
-                spec,
-                spec.alphas[id.ai],
-                spec.ks[id.ki],
-                arena,
-                inject,
-            )?;
-            return Ok(RunRecord::from_scale(
-                spec.class(),
-                spec.alphas[id.ai],
-                spec.ks[id.ki],
-                id.rep,
-                &result,
-                &final_state,
-            ));
-        }
-        let states = self.states.entry(si).or_insert_with(|| spec.states());
-        let arena = self.arenas.entry((si, id.rep)).or_default();
-        let result = solve_cell_guarded(
-            &states[id.rep],
-            spec.scenario(),
-            spec.alphas[id.ai],
-            spec.ks[id.ki],
-            self.warm_start,
-            arena,
-            inject,
-        )?;
-        Ok(RunRecord::new(
-            spec.class(),
-            spec.n,
-            spec.alphas[id.ai],
-            spec.ks[id.ki],
-            id.rep,
-            &result,
-        ))
+        let inputs = self.inputs.entry(si).or_insert_with(|| spec.inputs());
+        let arena = self.arenas.entry((si, id.rep)).or_insert_with(|| spec.arena());
+        solve_cell(spec, inputs, id, arena, self.warm_start, inject)
     }
 }
 
@@ -876,10 +834,8 @@ pub fn work(experiment: &str, specs: &[SweepSpec], opts: &WorkOptions) -> std::i
     let mut solver = Solver {
         specs,
         warm_start: opts.warm_start,
-        states: HashMap::new(),
+        inputs: HashMap::new(),
         arenas: HashMap::new(),
-        scale_states: HashMap::new(),
-        scale_arenas: HashMap::new(),
     };
     let mut backoff = Backoff::new(&opts.worker_id);
     let mut ever_connected = false;

@@ -9,11 +9,10 @@
 //! * cells are identified by a [`CellId`] with a canonical linear
 //!   index (`α`-major, then `k`, then `rep`) — the order every
 //!   journal, fold, and table is defined over;
-//! * workers parallelise over *repetitions* so that one
-//!   [`CacheArena`] (view cache + solver scratch) per rep is reused
-//!   across all `(α, k)` cells sharing that initial state — the
-//!   warm-start path of DESIGN.md §7; outcomes are bit-identical to
-//!   cold runs;
+//! * workers parallelise over *repetitions* so that one warm-start
+//!   [`Arena`] per rep is reused across all `(α, k)` cells sharing
+//!   that initial state — the warm-start path of DESIGN.md §7;
+//!   outcomes are bit-identical to cold runs;
 //! * `--shards M --shard i` process-level sharding partitions cells
 //!   by `rep % M` (see [`Shard`]), keeping warm-start groups intact
 //!   and the partition deterministic;
@@ -22,16 +21,17 @@
 //!   aggregates) instead of being collected, and the progress counter
 //!   is a lock-free `AtomicUsize`.
 //!
-//! [`sweep`] and [`by_cell`] remain as the collect-style conveniences
-//! for tests, examples, and small library use — now implemented on
-//! the same engine, so they warm-start too.
+//! One cell solver, [`solve_cell`], serves both tiers (exact
+//! `GameState` dynamics and the approximate scale tier, picked by the
+//! spec's [`Workload`]) and both drivers: [`run_spec_cells`] here and
+//! the lease-queue worker in [`crate::queue`]. Callers that want every
+//! record of a grid fold them through [`crate::engine::execute`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ncg_core::{EdgeCostModel, GameState, MoveRulePolicy, Objective, Scenario};
 use ncg_dynamics::scale::{run_scale, ScaleArena, ScaleConfig, ScaleRunResult, ScaleState};
 use ncg_dynamics::{run, run_with_cache, CacheArena, DynamicsConfig, RunResult};
-use parking_lot::Mutex;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -259,7 +259,7 @@ impl SweepSpec {
     /// # Panics
     /// Panics for scale sweeps, whose inputs must never round-trip
     /// through a `GameState` (`O(n)` allocations); use
-    /// [`SweepSpec::scale_states`] there — or [`run_spec_cells`],
+    /// [`SweepSpec::scale_states`] there — or [`SweepSpec::inputs`],
     /// which dispatches for you.
     pub fn states(&self) -> Vec<GameState> {
         match self.workload {
@@ -281,6 +281,26 @@ impl SweepSpec {
                 workloads::scale_er_states(self.n, avg_deg, self.reps, self.seed)
             }
             _ => panic!("exact-tier sweeps sample GameStates; call states() instead"),
+        }
+    }
+
+    /// Samples the sweep's initial states in its tier's representation
+    /// — the one place besides [`SweepSpec::arena`] and [`solve_cell`]
+    /// where the tier is chosen.
+    pub fn inputs(&self) -> Inputs {
+        if self.is_scale() {
+            Inputs::Scale(self.scale_states())
+        } else {
+            Inputs::Exact(self.states())
+        }
+    }
+
+    /// A fresh warm-start arena of the sweep's tier.
+    pub fn arena(&self) -> Arena {
+        if self.is_scale() {
+            Arena::Scale(Box::default())
+        } else {
+            Arena::Exact(Box::default())
         }
     }
 
@@ -341,7 +361,7 @@ impl SweepSpec {
 
 /// The canonical linear cell index — `α`-major, then `k`, then `rep`.
 /// The single definition every journal, fold, resume-skip, and merge
-/// shares (via [`SweepSpec::index_of`] and [`run_cells`]).
+/// shares (via [`SweepSpec::index_of`]).
 #[inline]
 pub fn cell_index(ai: usize, ki: usize, rep: usize, ks_len: usize, reps: usize) -> usize {
     (ai * ks_len + ki) * reps + rep
@@ -372,185 +392,109 @@ impl Shard {
     }
 }
 
-/// How one cell of a sweep ended: the normal result, or the panic
-/// payload of a solve that blew up (caught by [`solve_cell_guarded`],
-/// journaled as a structured `CellFailed` entry downstream).
+/// A sweep's initial states in the representation of its tier: exact
+/// workloads sample `GameState`s, scale workloads flat [`ScaleState`]s
+/// (a million-node input must never round-trip through a
+/// `GameState`). Built by [`SweepSpec::inputs`].
 #[derive(Debug)]
-pub enum CellOutcome {
-    /// The dynamics ran to an outcome (boxed: a `RunResult` is large
-    /// next to the failure string, and clippy rightly objects).
-    Done(Box<RunResult>),
-    /// The solve panicked; the payload rendered as a string.
-    Failed(String),
+pub enum Inputs {
+    /// One `GameState` per rep, for the exact dynamics.
+    Exact(Vec<GameState>),
+    /// One flat `ScaleState` per rep, for the approximate dynamics.
+    Scale(Vec<ScaleState>),
 }
 
-/// Solves one cell with panic isolation: a panic anywhere inside the
-/// dynamics (or injected via `inject_panic`, the `panic_cell` fault)
-/// is caught, the cell's [`CacheArena`] is rebuilt — its dirty
-/// tracking and solver scratch may have been left mid-update, so the
-/// warm-start soundness argument no longer covers them — and the
-/// panic payload comes back as `Err(message)`. The *next* cell on the
-/// same arena is then observationally a cold run, which the dynamics
-/// crate property-tests to be bit-identical to a warm one.
-pub fn solve_cell_guarded(
-    state: &GameState,
-    scenario: Scenario,
-    alpha: f64,
-    k: u32,
+/// Warm-start scratch for one repetition's cells, in the tier of its
+/// sweep: a [`CacheArena`] (view cache + solver scratch) or a
+/// [`ScaleArena`] (dirty set + scratch pool). Built by
+/// [`SweepSpec::arena`]; reusing one across a rep's `(α, k)` column is
+/// purely an allocation win, outcomes are bit-identical to fresh ones.
+#[derive(Debug)]
+pub enum Arena {
+    /// Exact-tier arena.
+    Exact(Box<CacheArena>),
+    /// Scale-tier arena.
+    Scale(Box<ScaleArena>),
+}
+
+/// Solves one cell into its [`RunRecord`] with panic isolation — the
+/// one cell solver behind both the in-process engine
+/// ([`run_spec_cells`]) and the lease-queue worker.
+///
+/// The rep's initial state is cloned out of `inputs` and the spec's
+/// dynamics run on `arena`: warm-started when `warm_start` is set,
+/// from fresh scratch otherwise (`--cold`; outcomes are bit-identical
+/// either way). A panic anywhere inside the solve — or injected via
+/// `inject_panic`, the `panic_cell` fault — is caught, the arena is
+/// replaced by a fresh one (its dirty tracking and scratch may have
+/// been left mid-update, so the warm-start soundness argument no
+/// longer covers them), and the payload comes back as `Err(message)`.
+/// The *next* cell on the same arena is then observationally a cold
+/// run.
+///
+/// # Panics
+/// Panics (caught, as a failed cell) if `inputs` or `arena` belong to
+/// the other tier than `spec`.
+pub fn solve_cell(
+    spec: &SweepSpec,
+    inputs: &Inputs,
+    cell: CellId,
+    arena: &mut Arena,
     warm_start: bool,
-    arena: &mut CacheArena,
     inject_panic: bool,
-) -> Result<RunResult, String> {
-    let config = DynamicsConfig::new(scenario.spec(alpha, k));
+) -> Result<RunRecord, String> {
+    let (alpha, k) = (spec.alphas[cell.ai], spec.ks[cell.ki]);
+    let game = spec.scenario().spec(alpha, k);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         if inject_panic {
             panic!("injected fault: panic_cell");
         }
-        if warm_start {
-            run_with_cache(state.clone(), &config, arena)
-        } else {
-            run(state.clone(), &config)
+        match (&spec.workload, inputs, &mut *arena) {
+            (Workload::ScaleEr { max_rounds, .. }, Inputs::Scale(states), Arena::Scale(arena)) => {
+                if !warm_start {
+                    **arena = ScaleArena::new();
+                }
+                let mut config = ScaleConfig::new(game);
+                config.max_rounds = *max_rounds;
+                let mut state = states[cell.rep].clone();
+                let result = run_scale(&mut state, &config, arena);
+                RunRecord::from_scale(spec.class(), alpha, k, cell.rep, &result, &state)
+            }
+            (Workload::Tree | Workload::Er(_), Inputs::Exact(states), Arena::Exact(arena)) => {
+                let config = DynamicsConfig::new(game);
+                let state = states[cell.rep].clone();
+                let result = if warm_start {
+                    run_with_cache(state, &config, arena)
+                } else {
+                    run(state, &config)
+                };
+                RunRecord::new(spec.class(), spec.n, alpha, k, cell.rep, &result)
+            }
+            _ => panic!("sweep '{}': inputs or arena of the wrong tier", spec.label),
         }
     }));
     outcome.map_err(|payload| {
-        arena.rebuild();
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
+        *arena = spec.arena();
+        (payload.downcast_ref::<&str>().map(|s| s.to_string()))
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "non-string panic payload".to_string())
     })
 }
 
-/// Runs this shard's cells of one grid, warm-starting per repetition,
-/// streaming each finished cell to `sink`. Cells for which
-/// `skip(index)` returns `true` (already journaled, on resume) are
-/// not run and not reported. `sink` may be called from worker
-/// threads in any completion order; the canonical order is
+/// Runs this shard's cells of one grid through [`solve_cell`],
+/// warm-starting per repetition, streaming each finished cell's
+/// record (or the panic payload of a failed solve) to `sink`. This is
+/// the engine's single entry point for both tiers.
+///
+/// Cells for which `skip(index)` returns `true` (already journaled,
+/// on resume) are not run and not reported. `sink` may be called from
+/// worker threads in any completion order; the canonical order is
 /// re-established downstream (see `crate::engine`). `progress`, if
 /// given, is called after each finished cell with `(done, total)`
-/// where `total` counts this shard's non-skipped cells.
-///
-/// Each solve runs under [`solve_cell_guarded`]: a panicking cell
-/// reaches the sink as [`CellOutcome::Failed`] and the sweep carries
-/// on with a rebuilt arena. `fault`, if given, can additionally force
-/// a specific canonical cell to panic (`panic_cell:N`).
+/// where `total` counts this shard's non-skipped cells. `fault`, if
+/// given, can force a specific canonical cell to panic
+/// (`panic_cell:N`); the sweep carries on past it.
 #[allow(clippy::too_many_arguments)] // the engine's one low-level entry point
-pub fn run_cells(
-    states: &[GameState],
-    alphas: &[f64],
-    ks: &[u32],
-    scenario: impl Into<Scenario>,
-    warm_start: bool,
-    shard: Shard,
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    sink: &(dyn Fn(CellId, CellOutcome) + Sync),
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    fault: Option<&crate::fault::FaultPlan>,
-) {
-    let scenario = scenario.into();
-    assert!(shard.count >= 1 && shard.index < shard.count, "invalid shard {shard:?}");
-    let reps = states.len();
-    let index_of = |ai: usize, ki: usize, rep: usize| cell_index(ai, ki, rep, ks.len(), reps);
-    let my_reps: Vec<usize> = (0..reps).filter(|&r| shard.owns_rep(r)).collect();
-    let total: usize = my_reps
-        .iter()
-        .map(|&rep| {
-            (0..alphas.len())
-                .flat_map(|ai| (0..ks.len()).map(move |ki| (ai, ki)))
-                .filter(|&(ai, ki)| !skip(index_of(ai, ki, rep)))
-                .count()
-        })
-        .sum();
-    let done = AtomicUsize::new(0);
-    // One worker item per repetition: the rep's CacheArena persists
-    // across its whole (α, k) column, which is the warm-start win.
-    let _: Vec<()> = my_reps
-        .into_par_iter()
-        .map(|rep| {
-            let mut arena = CacheArena::new();
-            for (ai, &alpha) in alphas.iter().enumerate() {
-                for (ki, &k) in ks.iter().enumerate() {
-                    let index = index_of(ai, ki, rep);
-                    if skip(index) {
-                        continue;
-                    }
-                    let inject = fault.is_some_and(|f| f.panics_at_cell(index));
-                    let outcome = match solve_cell_guarded(
-                        &states[rep],
-                        scenario,
-                        alpha,
-                        k,
-                        warm_start,
-                        &mut arena,
-                        inject,
-                    ) {
-                        Ok(result) => CellOutcome::Done(Box::new(result)),
-                        Err(message) => CellOutcome::Failed(message),
-                    };
-                    sink(CellId { index, ai, ki, rep }, outcome);
-                    if let Some(cb) = progress {
-                        cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-                    }
-                }
-            }
-        })
-        .collect();
-}
-
-/// Solves one *scale-tier* cell with panic isolation, mirroring
-/// [`solve_cell_guarded`]: the rep's initial [`ScaleState`] is cloned
-/// (a handful of flat memcpys), the approximate simultaneous dynamics
-/// run under the spec's round cap, and a panic anywhere inside comes
-/// back as `Err(message)` with the [`ScaleArena`] rebuilt (its dirty
-/// set and scratch pool may have been left mid-round). Returns the
-/// run result together with the final state so callers can extract
-/// the record's network statistics without keeping the state alive.
-pub fn solve_scale_cell_guarded(
-    initial: &ScaleState,
-    spec: &SweepSpec,
-    alpha: f64,
-    k: u32,
-    arena: &mut ScaleArena,
-    inject_panic: bool,
-) -> Result<(ScaleRunResult, ScaleState), String> {
-    let Workload::ScaleEr { max_rounds, .. } = spec.workload else {
-        panic!("solve_scale_cell_guarded requires a scale workload")
-    };
-    let mut config = ScaleConfig::new(spec.scenario().spec(alpha, k));
-    config.max_rounds = max_rounds;
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        if inject_panic {
-            panic!("injected fault: panic_cell");
-        }
-        let mut state = initial.clone();
-        let result = run_scale(&mut state, &config, arena);
-        (result, state)
-    }));
-    outcome.map_err(|payload| {
-        *arena = ScaleArena::new();
-        if let Some(s) = payload.downcast_ref::<&str>() {
-            (*s).to_string()
-        } else if let Some(s) = payload.downcast_ref::<String>() {
-            s.clone()
-        } else {
-            "non-string panic payload".to_string()
-        }
-    })
-}
-
-/// Runs this shard's cells of one grid, dispatching on the spec's
-/// tier: exact workloads go through [`run_cells`] (warm-started
-/// [`CacheArena`] per repetition), scale workloads through the
-/// approximate simultaneous dynamics (one [`ScaleArena`] per
-/// repetition — no `PlayerView` slots, no `O(n)` view cache). The
-/// sink receives finished [`RunRecord`]s (or the panic payload of a
-/// failed solve) instead of raw results, so callers never touch the
-/// tier-specific result types. This is the engine's single entry
-/// point; `sink` ordering caveats are as in [`run_cells`].
-#[allow(clippy::too_many_arguments)] // mirrors run_cells
 pub fn run_spec_cells(
     spec: &SweepSpec,
     warm_start: bool,
@@ -560,116 +504,34 @@ pub fn run_spec_cells(
     progress: Option<&(dyn Fn(usize, usize) + Sync)>,
     fault: Option<&crate::fault::FaultPlan>,
 ) {
-    if spec.is_scale() {
-        run_scale_cells(spec, warm_start, shard, skip, sink, progress, fault);
-        return;
-    }
-    let states = spec.states();
-    run_cells(
-        &states,
-        &spec.alphas,
-        &spec.ks,
-        spec.scenario(),
-        warm_start,
-        shard,
-        skip,
-        &|cell, outcome| {
-            let entry = match outcome {
-                CellOutcome::Done(result) => Ok(RunRecord::new(
-                    spec.class(),
-                    spec.n,
-                    spec.alphas[cell.ai],
-                    spec.ks[cell.ki],
-                    cell.rep,
-                    &result,
-                )),
-                CellOutcome::Failed(message) => Err(message),
-            };
-            sink(cell, entry);
-        },
-        progress,
-        fault,
-    );
-}
-
-/// The scale-tier twin of [`run_cells`]: same canonical cell order,
-/// same rep-major parallel structure (one warm [`ScaleArena`] per
-/// repetition spanning its `(α, k)` column), same shard/skip/fault
-/// contract. `warm_start = false` rebuilds the arena per cell — an
-/// A/B knob like the exact tier's `--cold`; outcomes are
-/// bit-identical either way (the arena holds only scratch buffers).
-#[allow(clippy::too_many_arguments)] // mirrors run_cells
-fn run_scale_cells(
-    spec: &SweepSpec,
-    warm_start: bool,
-    shard: Shard,
-    skip: &(dyn Fn(usize) -> bool + Sync),
-    sink: &(dyn Fn(CellId, Result<RunRecord, String>) + Sync),
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-    fault: Option<&crate::fault::FaultPlan>,
-) {
     assert!(shard.count >= 1 && shard.index < shard.count, "invalid shard {shard:?}");
-    let states = spec.scale_states();
-    let reps = states.len();
-    let index_of = |ai: usize, ki: usize, rep: usize| cell_index(ai, ki, rep, spec.ks.len(), reps);
-    let my_reps: Vec<usize> = (0..reps).filter(|&r| shard.owns_rep(r)).collect();
-    let total: usize = my_reps
-        .iter()
-        .map(|&rep| {
-            (0..spec.alphas.len())
-                .flat_map(|ai| (0..spec.ks.len()).map(move |ki| (ai, ki)))
-                .filter(|&(ai, ki)| !skip(index_of(ai, ki, rep)))
-                .count()
-        })
-        .sum();
+    let inputs = spec.inputs();
+    // A rep's cells in canonical order (α-major, then k), minus the
+    // skipped ones.
+    let cells_of = |rep: usize| {
+        (0..spec.alphas.len())
+            .flat_map(move |ai| (0..spec.ks.len()).map(move |ki| (ai, ki)))
+            .map(move |(ai, ki)| CellId { index: spec.index_of(ai, ki, rep), ai, ki, rep })
+            .filter(|cell| !skip(cell.index))
+    };
+    let my_reps: Vec<usize> = (0..spec.reps).filter(|&r| shard.owns_rep(r)).collect();
+    let total: usize = my_reps.iter().map(|&rep| cells_of(rep).count()).sum();
     let done = AtomicUsize::new(0);
+    // One worker item per repetition: the rep's arena persists across
+    // its whole (α, k) column, which is the warm-start win.
     let _: Vec<()> = my_reps
         .into_par_iter()
         .map(|rep| {
-            let mut arena = ScaleArena::new();
-            for (ai, &alpha) in spec.alphas.iter().enumerate() {
-                for (ki, &k) in spec.ks.iter().enumerate() {
-                    let index = index_of(ai, ki, rep);
-                    if skip(index) {
-                        continue;
-                    }
-                    if !warm_start {
-                        arena = ScaleArena::new();
-                    }
-                    let inject = fault.is_some_and(|f| f.panics_at_cell(index));
-                    let entry =
-                        solve_scale_cell_guarded(&states[rep], spec, alpha, k, &mut arena, inject)
-                            .map(|(result, final_state)| {
-                                RunRecord::from_scale(
-                                    spec.class(),
-                                    alpha,
-                                    k,
-                                    rep,
-                                    &result,
-                                    &final_state,
-                                )
-                            });
-                    sink(CellId { index, ai, ki, rep }, entry);
-                    if let Some(cb) = progress {
-                        cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
-                    }
+            let mut arena = spec.arena();
+            for cell in cells_of(rep) {
+                let inject = fault.is_some_and(|f| f.panics_at_cell(cell.index));
+                sink(cell, solve_cell(spec, &inputs, cell, &mut arena, warm_start, inject));
+                if let Some(cb) = progress {
+                    cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
                 }
             }
         })
         .collect();
-}
-
-/// One completed dynamics run with its cell coordinates.
-#[derive(Debug)]
-pub struct CellResult {
-    /// Edge price of the cell.
-    pub alpha: f64,
-    /// Knowledge radius of the cell.
-    pub k: u32,
-    /// Repetition index (selects the starting network).
-    pub rep: usize,
-    /// The dynamics result.
-    pub result: RunResult,
 }
 
 /// A compact serialisable record of one run — the unit the sweep
@@ -779,96 +641,52 @@ impl RunRecord {
         }
     }
 
-    /// Builds a record from a collected cell result. Capped runs used
-    /// to leak the `usize::MAX` sentinel into the JSON `rounds` field;
-    /// they now record the rounds actually executed plus `capped: true`.
-    pub fn from_cell(class: &str, n: usize, cell: &CellResult) -> Self {
-        Self::new(class, n, cell.alpha, cell.k, cell.rep, &cell.result)
-    }
-
     /// Whether the run ended in a detected best-response cycle.
     pub fn cycled(&self) -> bool {
         !self.converged && !self.capped
     }
 }
 
-/// Runs dynamics for every `(α, k)` in the grid and every starting
-/// state, in parallel, returning results sorted by
-/// `(α-index, k-index, rep)` — the collect-style convenience over the
-/// streaming engine (tests, examples, small grids). Warm-starts per
-/// repetition like the streaming path; the progress counter is a
-/// lock-free atomic, so the callback no longer serialises workers.
-/// The scenario handle is a bare [`Objective`] for the canonical
-/// games or a full [`Scenario`] for model-zoo variants.
-pub fn sweep(
-    states: &[GameState],
-    alphas: &[f64],
-    ks: &[u32],
-    scenario: impl Into<Scenario>,
-    progress: Option<&(dyn Fn(usize, usize) + Sync)>,
-) -> Vec<CellResult> {
-    let collected: Mutex<Vec<(usize, CellResult)>> =
-        Mutex::new(Vec::with_capacity(alphas.len() * ks.len() * states.len()));
-    run_cells(
-        states,
-        alphas,
-        ks,
-        scenario,
-        true,
-        Shard::all(),
-        &|_| false,
-        &|cell, outcome| {
-            let result = match outcome {
-                CellOutcome::Done(result) => *result,
-                CellOutcome::Failed(message) => {
-                    panic!("cell {} failed: {message}", cell.index)
-                }
-            };
-            let item = CellResult { alpha: alphas[cell.ai], k: ks[cell.ki], rep: cell.rep, result };
-            collected.lock().push((cell.index, item));
-        },
-        progress,
-        None,
-    );
-    let mut results = collected.into_inner();
-    results.sort_by_key(|(index, _)| *index);
-    results.into_iter().map(|(_, c)| c).collect()
-}
-
-/// Groups cell results by `(α, k)` preserving grid order, yielding
-/// `((α, k), &[CellResult])` slices of length `reps`. Empty grids
-/// (no `α`s, no `k`s, or zero reps) yield the matching number of
-/// empty groups.
-pub fn by_cell<'a>(
-    results: &'a [CellResult],
-    alphas: &[f64],
-    ks: &[u32],
-    reps: usize,
-) -> Vec<((f64, u32), &'a [CellResult])> {
-    let mut out = Vec::with_capacity(alphas.len() * ks.len());
-    let mut offset = 0;
-    for &alpha in alphas {
-        for &k in ks {
-            let slice = &results[offset..offset + reps];
-            debug_assert!(slice.iter().all(|c| c.alpha == alpha && c.k == k));
-            out.push(((alpha, k), slice));
-            offset += reps;
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workloads;
+    use crate::fault::FaultPlan;
+    use parking_lot::Mutex;
+
+    /// Runs one shard of `spec` through [`run_spec_cells`] and returns
+    /// its `(index, entry)` pairs sorted by canonical index.
+    fn collect(
+        spec: &SweepSpec,
+        warm: bool,
+        shard: Shard,
+        fault: Option<&FaultPlan>,
+    ) -> Vec<(usize, Result<RunRecord, String>)> {
+        let got = Mutex::new(Vec::new());
+        run_spec_cells(
+            spec,
+            warm,
+            shard,
+            &|_| false,
+            &|cell, entry| got.lock().push((cell.index, entry)),
+            None,
+            fault,
+        );
+        let mut got = got.into_inner();
+        got.sort_by_key(|(i, _)| *i);
+        got
+    }
+
+    /// Every record of a clean, warm, single-shard run, in canonical
+    /// order.
+    fn records(spec: &SweepSpec) -> Vec<RunRecord> {
+        let got = collect(spec, true, Shard::all(), None);
+        got.into_iter().map(|(_, entry)| entry.expect("no cell may fail")).collect()
+    }
 
     #[test]
     fn sweep_covers_the_grid_in_order() {
-        let states = workloads::tree_states(14, 2, 1);
-        let alphas = [0.5, 2.0];
-        let ks = [2u32, 1000];
-        let results = sweep(&states, &alphas, &ks, Objective::Max, None);
+        let spec = SweepSpec::tree("t", 14, 2, 1, vec![0.5, 2.0], vec![2, 1000], Objective::Max);
+        let results = records(&spec);
         assert_eq!(results.len(), 8);
         // Order: α-major, then k, then rep.
         assert_eq!((results[0].alpha, results[0].k, results[0].rep), (0.5, 2, 0));
@@ -876,44 +694,19 @@ mod tests {
         assert_eq!((results[2].alpha, results[2].k, results[2].rep), (0.5, 1000, 0));
         assert_eq!((results[7].alpha, results[7].k, results[7].rep), (2.0, 1000, 1));
         for c in &results {
-            assert!(c.result.outcome.converged() || c.result.total_moves > 0);
+            assert!(c.converged || c.moves > 0);
         }
     }
 
     #[test]
-    fn by_cell_groups_correctly() {
-        let states = workloads::tree_states(12, 3, 2);
-        let alphas = [1.0];
-        let ks = [2u32, 3];
-        let results = sweep(&states, &alphas, &ks, Objective::Max, None);
-        let grouped = by_cell(&results, &alphas, &ks, 3);
-        assert_eq!(grouped.len(), 2);
-        assert_eq!(grouped[0].0, (1.0, 2));
-        assert_eq!(grouped[0].1.len(), 3);
-        assert_eq!(grouped[1].0, (1.0, 3));
-    }
-
-    #[test]
-    fn by_cell_handles_empty_grids() {
-        // No αs / no ks / zero reps: no groups, or empty groups.
-        assert!(by_cell(&[], &[], &[2], 3).is_empty());
-        assert!(by_cell(&[], &[1.0], &[], 3).is_empty());
-        let grouped = by_cell(&[], &[1.0, 2.0], &[2, 3], 0);
-        assert_eq!(grouped.len(), 4);
-        assert!(grouped.iter().all(|(_, cells)| cells.is_empty()));
-        assert_eq!(grouped[3].0, (2.0, 3));
-    }
-
-    #[test]
     fn progress_callback_counts_to_total() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let states = workloads::tree_states(10, 2, 3);
+        let spec = SweepSpec::tree("t", 10, 2, 3, vec![1.0], vec![2], Objective::Max);
         let max_seen = AtomicUsize::new(0);
         let cb = |done: usize, total: usize| {
             assert!(done <= total);
             max_seen.fetch_max(done, Ordering::Relaxed);
         };
-        sweep(&states, &[1.0], &[2], Objective::Max, Some(&cb));
+        run_spec_cells(&spec, true, Shard::all(), &|_| false, &|_, _| {}, Some(&cb), None);
         assert_eq!(max_seen.load(Ordering::Relaxed), 2);
     }
 
@@ -945,39 +738,22 @@ mod tests {
 
     #[test]
     fn sharded_run_cells_cover_exactly_the_grid() {
-        let states = workloads::tree_states(10, 3, 5);
-        let alphas = [0.5, 2.0];
-        let ks = [2u32];
-        let seen: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        for index in 0..2 {
-            run_cells(
-                &states,
-                &alphas,
-                &ks,
-                Objective::Max,
-                true,
-                Shard { count: 2, index },
-                &|_| false,
-                &|cell, _| seen.lock().push(cell.index),
-                None,
-                None,
-            );
-        }
-        let mut seen = seen.into_inner();
+        let spec = SweepSpec::tree("t", 10, 3, 5, vec![0.5, 2.0], vec![2], Objective::Max);
+        let mut seen: Vec<usize> = (0..2)
+            .flat_map(|index| collect(&spec, true, Shard { count: 2, index }, None))
+            .map(|(index, _)| index)
+            .collect();
         seen.sort_unstable();
         assert_eq!(seen, (0..6).collect::<Vec<_>>(), "shards must partition the grid exactly");
     }
 
     #[test]
     fn skip_suppresses_cells_and_progress_total() {
-        let states = workloads::tree_states(10, 2, 9);
+        let spec = SweepSpec::tree("t", 10, 2, 9, vec![1.0], vec![2, 3], Objective::Max);
         let ran: Mutex<Vec<usize>> = Mutex::new(Vec::new());
         let totals: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        run_cells(
-            &states,
-            &[1.0],
-            &[2, 3],
-            Objective::Max,
+        run_spec_cells(
+            &spec,
             true,
             Shard::all(),
             &|index| index % 2 == 0,
@@ -993,9 +769,8 @@ mod tests {
 
     #[test]
     fn run_record_extracts_fields() {
-        let states = workloads::tree_states(12, 1, 4);
-        let results = sweep(&states, &[2.0], &[3], Objective::Max, None);
-        let rec = RunRecord::from_cell("tree", 12, &results[0]);
+        let spec = SweepSpec::tree("t", 12, 1, 4, vec![2.0], vec![3], Objective::Max);
+        let rec = records(&spec).remove(0);
         assert_eq!(rec.class, "tree");
         assert_eq!(rec.n, 12);
         assert_eq!(rec.alpha, 2.0);
@@ -1020,8 +795,7 @@ mod tests {
         let mut config = DynamicsConfig::new(spec);
         config.max_rounds = 0;
         let result = run(state, &config);
-        let cell = CellResult { alpha: spec.alpha, k: spec.k, rep: 0, result };
-        let rec = RunRecord::from_cell("tree", 3, &cell);
+        let rec = RunRecord::new("tree", 3, spec.alpha, spec.k, 0, &result);
         assert!(rec.capped);
         assert!(!rec.converged);
         assert_eq!(rec.rounds, 0, "rounds must be the executed count, not usize::MAX");
@@ -1128,20 +902,9 @@ mod tests {
     #[test]
     fn run_spec_cells_covers_scale_grids_and_records_round_trip() {
         let spec = tiny_scale_spec();
-        let got: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-        run_spec_cells(
-            &spec,
-            true,
-            Shard::all(),
-            &|_| false,
-            &|cell, entry| got.lock().push((cell.index, entry.expect("no cell may fail"))),
-            None,
-            None,
-        );
-        let mut got = got.into_inner();
-        got.sort_by_key(|(i, _)| *i);
+        let got = records(&spec);
         assert_eq!(got.len(), spec.cell_count());
-        for (index, rec) in &got {
+        for (index, rec) in got.iter().enumerate() {
             assert_eq!(rec.class, "scale_er");
             assert_eq!(rec.n, 120);
             assert!(rec.rounds <= 6);
@@ -1149,58 +912,37 @@ mod tests {
             assert!(rec.avg_view >= 1.0, "sampled balls always contain their center");
             // The journal keying used by resume and merge must accept
             // scale records like any other class.
-            assert_eq!(spec.index_of_record(rec), Some(*index));
+            assert_eq!(spec.index_of_record(rec), Some(index));
             let json = serde_json::to_string(rec).unwrap();
             let back: RunRecord = serde_json::from_str(&json).unwrap();
             assert_eq!(&back, rec);
         }
         // The dynamics do something on a random flat network: at the
         // cheap price at least, some player buys or drops an edge.
-        assert!(got.iter().any(|(_, r)| r.moves > 0), "no cell moved at all");
+        assert!(got.iter().any(|r| r.moves > 0), "no cell moved at all");
     }
 
     #[test]
     fn scale_cells_are_identical_warm_cold_and_across_shards() {
         let spec = tiny_scale_spec();
-        let collect = |warm: bool, shards: usize| {
-            let got: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-            for index in 0..shards {
-                run_spec_cells(
-                    &spec,
-                    warm,
-                    Shard { count: shards, index },
-                    &|_| false,
-                    &|cell, entry| got.lock().push((cell.index, entry.expect("no failures"))),
-                    None,
-                    None,
-                );
-            }
-            let mut got = got.into_inner();
+        let run = |warm: bool, shards: usize| {
+            let mut got: Vec<_> = (0..shards)
+                .flat_map(|index| collect(&spec, warm, Shard { count: shards, index }, None))
+                .collect();
             got.sort_by_key(|(i, _)| *i);
+            assert!(got.iter().all(|(_, entry)| entry.is_ok()), "no failures");
             got
         };
-        let reference = collect(true, 1);
-        assert_eq!(reference, collect(false, 1), "warm arenas must not change outcomes");
-        assert_eq!(reference, collect(true, 2), "shard partition must not change outcomes");
+        let reference = run(true, 1);
+        assert_eq!(reference, run(false, 1), "warm arenas must not change outcomes");
+        assert_eq!(reference, run(true, 2), "shard partition must not change outcomes");
     }
 
     #[test]
     fn panicking_scale_cell_fails_alone() {
-        use crate::fault::FaultPlan;
         let spec = tiny_scale_spec();
         let fault = FaultPlan::parse("panic_cell:1").unwrap();
-        let got: Mutex<Vec<(usize, Result<RunRecord, String>)>> = Mutex::new(Vec::new());
-        run_spec_cells(
-            &spec,
-            true,
-            Shard::all(),
-            &|_| false,
-            &|cell, entry| got.lock().push((cell.index, entry)),
-            None,
-            Some(&fault),
-        );
-        let mut got = got.into_inner();
-        got.sort_by_key(|(i, _)| *i);
+        let got = collect(&spec, true, Shard::all(), Some(&fault));
         assert_eq!(got.len(), spec.cell_count());
         for (index, entry) in got {
             if index == 1 {
@@ -1213,45 +955,12 @@ mod tests {
 
     #[test]
     fn panicking_cell_fails_alone_and_the_rest_match_a_clean_run() {
-        use crate::fault::FaultPlan;
-        let states = workloads::tree_states(14, 2, 11);
-        let alphas = [0.5, 2.0];
-        let ks = [2u32, 1000];
-        let collect = |fault: Option<&FaultPlan>| {
-            let got: Mutex<Vec<(usize, Result<RunRecord, String>)>> = Mutex::new(Vec::new());
-            run_cells(
-                &states,
-                &alphas,
-                &ks,
-                Objective::Max,
-                true,
-                Shard::all(),
-                &|_| false,
-                &|cell, outcome| {
-                    let entry = match outcome {
-                        CellOutcome::Done(result) => Ok(RunRecord::new(
-                            "tree",
-                            14,
-                            alphas[cell.ai],
-                            ks[cell.ki],
-                            cell.rep,
-                            &result,
-                        )),
-                        CellOutcome::Failed(message) => Err(message),
-                    };
-                    got.lock().push((cell.index, entry));
-                },
-                None,
-                fault,
-            );
-            let mut got = got.into_inner();
-            got.sort_by_key(|(i, _)| *i);
-            got
-        };
-        let clean = collect(None);
+        let spec = SweepSpec::tree("t", 14, 2, 11, vec![0.5, 2.0], vec![2, 1000], Objective::Max);
+        let clean = collect(&spec, true, Shard::all(), None);
         // Cell 2 is mid-rep-0's warm-start column: rep 0 runs cells
         // 0, 2, 4, 6, so the arena is warm before and rebuilt after.
-        let faulty = collect(Some(&FaultPlan::parse("panic_cell:2").unwrap()));
+        let fault = FaultPlan::parse("panic_cell:2").unwrap();
+        let faulty = collect(&spec, true, Shard::all(), Some(&fault));
         assert_eq!(faulty.len(), clean.len(), "every cell still reports");
         for ((ci, c), (fi, f)) in clean.iter().zip(&faulty) {
             assert_eq!(ci, fi);
@@ -1268,37 +977,24 @@ mod tests {
     }
 
     #[test]
+    fn solve_cell_fails_a_cell_whose_arena_is_of_the_other_tier() {
+        let spec = tiny_scale_spec();
+        let mut arena = Arena::Exact(Box::default());
+        let entry = solve_cell(&spec, &spec.inputs(), spec.cell(0), &mut arena, true, false);
+        assert!(entry.unwrap_err().contains("wrong tier"));
+        assert!(
+            matches!(arena, Arena::Scale(_)),
+            "the failed cell's arena is rebuilt for its tier"
+        );
+    }
+
+    #[test]
     fn warm_and_cold_sweeps_agree_bitwise() {
         // The warm-start acceptance criterion at the engine level:
         // per-cell outcomes identical with arenas on and off.
-        let states = workloads::tree_states(16, 3, 11);
-        let alphas = [0.4, 3.0];
-        let ks = [2u32, 1000];
-        let collect = |warm: bool| {
-            let got: Mutex<Vec<(usize, RunRecord)>> = Mutex::new(Vec::new());
-            run_cells(
-                &states,
-                &alphas,
-                &ks,
-                Objective::Max,
-                warm,
-                Shard::all(),
-                &|_| false,
-                &|cell, outcome| {
-                    let CellOutcome::Done(result) = outcome else {
-                        panic!("unexpected cell failure")
-                    };
-                    let rec =
-                        RunRecord::new("tree", 16, alphas[cell.ai], ks[cell.ki], cell.rep, &result);
-                    got.lock().push((cell.index, rec));
-                },
-                None,
-                None,
-            );
-            let mut got = got.into_inner();
-            got.sort_by_key(|(i, _)| *i);
-            got
-        };
-        assert_eq!(collect(true), collect(false));
+        let spec = SweepSpec::tree("t", 16, 3, 11, vec![0.4, 3.0], vec![2, 1000], Objective::Max);
+        let warm = collect(&spec, true, Shard::all(), None);
+        assert!(warm.iter().all(|(_, entry)| entry.is_ok()), "unexpected cell failure");
+        assert_eq!(warm, collect(&spec, false, Shard::all(), None));
     }
 }

@@ -149,3 +149,34 @@ fn rejects_unknown_experiment_with_usage() {
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("usage:"), "expected usage text, got:\n{stderr}");
 }
+
+#[test]
+fn rejects_flags_the_chosen_action_ignores() {
+    let cases: &[(&[&str], &str)] = &[
+        (
+            &["figure5", "--smoke", "--connect", "127.0.0.1:9"],
+            "--connect does not apply to a local run",
+        ),
+        (&["figure5", "--smoke", "--lease-timeout", "5"], "--lease-timeout does not apply"),
+        (&["figure5", "--smoke", "--worker-id", "w"], "--worker-id does not apply"),
+        (&["figure5", "--port-file", "p"], "--port-file does not apply to a local run"),
+        (
+            &["merge", "figure5", "--shards", "2", "--listen", "127.0.0.1:0"],
+            "--listen does not apply to merge",
+        ),
+        (&["serve", "figure5", "--shards", "2"], "--shards does not apply to serve"),
+        (&["serve", "figure5", "--worker-id", "w"], "--worker-id does not apply to serve"),
+        (&["work", "figure5", "--shard", "0"], "--shard does not apply to work"),
+        (&["work", "figure5", "--max-retries", "2"], "--max-retries does not apply to work"),
+    ];
+    for (args, reason) in cases {
+        let output = Command::new(env!("CARGO_BIN_EXE_ncg-experiments"))
+            .args(*args)
+            .output()
+            .expect("spawning the ncg-experiments binary");
+        assert!(!output.status.success(), "{args:?} must be refused");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains(reason), "{args:?}: expected {reason:?} in:\n{stderr}");
+        assert!(stderr.contains("usage:"), "{args:?}: expected usage text in:\n{stderr}");
+    }
+}

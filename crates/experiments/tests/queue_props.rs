@@ -12,12 +12,11 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use ncg_core::Objective;
-use ncg_dynamics::CacheArena;
 use ncg_experiments::engine::{self, SweepContext, SweepMode};
 use ncg_experiments::journal::{self, JournalLine};
 use ncg_experiments::protocol::{Reply, Request};
 use ncg_experiments::queue::{Coordinator, CoordinatorOptions};
-use ncg_experiments::sweep::{solve_cell_guarded, RunRecord, SweepSpec};
+use ncg_experiments::sweep::{solve_cell, RunRecord, SweepSpec};
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("ncg_queue_props_{tag}_{}", std::process::id()));
@@ -47,21 +46,8 @@ fn reference_bytes(specs: &[SweepSpec], experiment: &str) -> Vec<u8> {
 /// are bit-identical anyway) and renders its record JSON.
 fn solve_json(specs: &[SweepSpec], si: usize, cell: usize) -> String {
     let spec = &specs[si];
-    let id = spec.cell(cell);
-    let states = spec.states();
-    let mut arena = CacheArena::new();
-    let result = solve_cell_guarded(
-        &states[id.rep],
-        spec.scenario(),
-        spec.alphas[id.ai],
-        spec.ks[id.ki],
-        false,
-        &mut arena,
-        false,
-    )
-    .expect("clean solve");
-    let record =
-        RunRecord::new(spec.class(), spec.n, spec.alphas[id.ai], spec.ks[id.ki], id.rep, &result);
+    let record = solve_cell(spec, &spec.inputs(), spec.cell(cell), &mut spec.arena(), false, false)
+        .expect("clean solve");
     serde_json::to_string(&record).unwrap()
 }
 
@@ -130,6 +116,62 @@ fn two_workers_out_of_order_match_local_bytes() {
         fs::read(journal::journal_path(&dir, "q_order")).unwrap(),
         reference,
         "out-of-order distributed completion diverged from the local journal"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn scale_cells_out_of_order_match_local_bytes() {
+    // A tiny scale-tier grid (flat states, approximate dynamics):
+    // 2 α × 1 k × 2 reps. The coordinator must journal its records
+    // exactly like the exact tier's.
+    let specs = vec![SweepSpec::scale_er(
+        "scale",
+        120,
+        4.0,
+        6,
+        2,
+        9,
+        vec![0.8, 4.0],
+        vec![2],
+        Objective::Max,
+    )];
+    let reference = reference_bytes(&specs, "q_scale");
+    let dir = temp_dir("scale");
+    let c =
+        Coordinator::open(&dir, "q_scale", specs.clone(), opts(Duration::from_secs(60))).unwrap();
+    let t0 = Instant::now();
+    assert!(matches!(
+        c.handle("a", hello(&specs, "a", "q_scale"), t0),
+        Some(Reply::Welcome { .. })
+    ));
+    // Lease everything, solve it like one worker would (shared inputs,
+    // one warm arena per rep), then report in reverse order.
+    let spec = &specs[0];
+    let grants: Vec<_> = (0..spec.cell_count()).map(|_| lease(&c, "a", t0)).collect();
+    let inputs = spec.inputs();
+    let mut arenas: Vec<_> = (0..spec.reps).map(|_| spec.arena()).collect();
+    let records: Vec<String> = grants
+        .iter()
+        .map(|&(_, cell)| {
+            let id = spec.cell(cell);
+            let record = solve_cell(spec, &inputs, id, &mut arenas[id.rep], true, false)
+                .expect("clean solve");
+            serde_json::to_string(&record).unwrap()
+        })
+        .collect();
+    for (&(si, cell), record) in grants.iter().zip(records).rev() {
+        match c.handle("a", Request::Result { si, cell, record }, t0) {
+            Some(Reply::Ack { duplicate: false }) => {}
+            other => panic!("expected a fresh ACK, got {other:?}"),
+        }
+    }
+    assert!(matches!(c.handle("a", Request::Lease, t0), Some(Reply::Done)));
+    c.finish().unwrap();
+    assert_eq!(
+        fs::read(journal::journal_path(&dir, "q_scale")).unwrap(),
+        reference,
+        "out-of-order scale-tier completion diverged from the local journal"
     );
     let _ = fs::remove_dir_all(&dir);
 }

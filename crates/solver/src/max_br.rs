@@ -126,75 +126,6 @@ pub fn max_best_response_with(
     best
 }
 
-/// The *seed* best-response loop, kept verbatim as the reference
-/// baseline: all-pairs BFS rows, then one freshly cloned
-/// [`DominationInstance`](crate::dominating::DominationInstance) per
-/// eccentricity guess. Returns the optimal total cost only.
-///
-/// [`max_best_response`] must be cost-identical to this — the parity
-/// proptest asserts it, and the `er100_full_view_rebuild` bench
-/// measures the gap the incremental engine closes. Not for production
-/// use.
-pub fn max_best_response_cost_rebuild(spec: &GameSpec, view: &PlayerView) -> f64 {
-    use crate::dominating::DominationInstance;
-    use ncg_core::deviation::EvalScratch;
-    use ncg_graph::bfs::DistanceBuffer;
-
-    let n_local = view.len();
-    let mut best_cost = current_total(spec, view);
-    if n_local <= 1 {
-        return spec.total_cost(0, Some(0));
-    }
-    let csr = CsrGraph::from_graph(&view.graph_minus_center);
-    let mut buf = DistanceBuffer::with_capacity(n_local);
-    let dist: Vec<Vec<u32>> = (0..n_local as NodeId)
-        .map(|s| {
-            if s == view.center {
-                vec![ncg_graph::INFINITY; n_local]
-            } else {
-                csr.bfs(s, &mut buf);
-                buf.distances().to_vec()
-            }
-        })
-        .collect();
-    let mut universe = BitSet::full(n_local);
-    universe.remove(view.center);
-    let mut covers: Vec<BitSet> = vec![BitSet::new(n_local); n_local];
-    let mut scratch = EvalScratch::new();
-    for h in 1..=n_local as u32 {
-        if h as f64 >= best_cost - ncg_core::EPS {
-            break;
-        }
-        let r = h - 1;
-        for s in 0..n_local {
-            if s == view.center as usize {
-                continue;
-            }
-            for v in 0..n_local as u32 {
-                if v != view.center && dist[s][v as usize] == r {
-                    covers[s].insert(v);
-                }
-            }
-        }
-        let inst = DominationInstance {
-            covers: covers.clone(),
-            universe: universe.clone(),
-            forced: view.incoming.clone(),
-        };
-        let cutoff = purchase_cutoff(best_cost, h as f64, spec.alpha);
-        if cutoff == 0 {
-            continue;
-        }
-        let Some(extra) = inst.solve_exact(cutoff) else { continue };
-        let eval = evaluate_max(view, &extra, &mut scratch);
-        let cost = spec.total_cost(extra.len(), eval.usage());
-        if GameSpec::strictly_better(cost, best_cost) {
-            best_cost = cost;
-        }
-    }
-    best_cost
-}
-
 /// Largest `h` the guess loop can enter: `h < total_cost − ε`, capped
 /// by the view size.
 fn largest_useful_h(total_cost: f64, n_local: usize) -> u32 {

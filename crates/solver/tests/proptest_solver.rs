@@ -2,16 +2,79 @@
 //! dominating-set branch-and-bound, the incremental engine, and the
 //! best-response reduction.
 
+use ncg_core::deviation::{current_total, evaluate_max, EvalScratch};
 use ncg_core::equilibrium::best_response_exhaustive;
 use ncg_core::{GameSpec, GameState, PlayerView};
-use ncg_graph::NodeId;
+use ncg_graph::bfs::DistanceBuffer;
+use ncg_graph::{CsrGraph, NodeId};
 use ncg_solver::bitset::BitSet;
+use ncg_solver::bound::purchase_cutoff;
 use ncg_solver::dominating::DominationInstance;
 use ncg_solver::engine::DominationEngine;
 use ncg_solver::{max_br, sum_br, Mode, ParallelPolicy, SolverScratch};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+
+/// The seed best-response loop, kept as the parity reference for the
+/// incremental engine: all-pairs BFS rows, then one freshly cloned
+/// [`DominationInstance`] per eccentricity guess. Returns the optimal
+/// total cost only; `max_br::max_best_response` must match it.
+fn max_best_response_cost_rebuild(spec: &GameSpec, view: &PlayerView) -> f64 {
+    let n_local = view.len();
+    let mut best_cost = current_total(spec, view);
+    if n_local <= 1 {
+        return spec.total_cost(0, Some(0));
+    }
+    let csr = CsrGraph::from_graph(&view.graph_minus_center);
+    let mut buf = DistanceBuffer::with_capacity(n_local);
+    let dist: Vec<Vec<u32>> = (0..n_local as NodeId)
+        .map(|s| {
+            if s == view.center {
+                vec![ncg_graph::INFINITY; n_local]
+            } else {
+                csr.bfs(s, &mut buf);
+                buf.distances().to_vec()
+            }
+        })
+        .collect();
+    let mut universe = BitSet::full(n_local);
+    universe.remove(view.center);
+    let mut covers: Vec<BitSet> = vec![BitSet::new(n_local); n_local];
+    let mut scratch = EvalScratch::new();
+    for h in 1..=n_local as u32 {
+        if h as f64 >= best_cost - ncg_core::EPS {
+            break;
+        }
+        let r = h - 1;
+        for s in 0..n_local {
+            if s == view.center as usize {
+                continue;
+            }
+            for v in 0..n_local as u32 {
+                if v != view.center && dist[s][v as usize] == r {
+                    covers[s].insert(v);
+                }
+            }
+        }
+        let inst = DominationInstance {
+            covers: covers.clone(),
+            universe: universe.clone(),
+            forced: view.incoming.clone(),
+        };
+        let cutoff = purchase_cutoff(best_cost, h as f64, spec.alpha);
+        if cutoff == 0 {
+            continue;
+        }
+        let Some(extra) = inst.solve_exact(cutoff) else { continue };
+        let eval = evaluate_max(view, &extra, &mut scratch);
+        let cost = spec.total_cost(extra.len(), eval.usage());
+        if GameSpec::strictly_better(cost, best_cost) {
+            best_cost = cost;
+        }
+    }
+    best_cost
+}
 
 fn arb_elems(cap: usize) -> impl Strategy<Value = Vec<u32>> {
     proptest::collection::vec(0..cap as u32, 0..cap)
@@ -139,7 +202,7 @@ proptest! {
             let view = PlayerView::build(&state, u, k);
             let incremental =
                 max_br::max_best_response_with(&spec, &view, Mode::Exact, &mut scratch);
-            let rebuild_cost = max_br::max_best_response_cost_rebuild(&spec, &view);
+            let rebuild_cost = max_best_response_cost_rebuild(&spec, &view);
             prop_assert!(
                 (incremental.total_cost - rebuild_cost).abs() < 1e-9,
                 "u={u}: engine {} vs rebuild {rebuild_cost}",

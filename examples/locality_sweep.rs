@@ -8,7 +8,8 @@
 //! ```
 
 use ncg::core::Objective;
-use ncg::experiments::{sweep, workloads};
+use ncg::experiments::engine::{self, SweepContext};
+use ncg::experiments::sweep::SweepSpec;
 use ncg::stats::Summary;
 
 fn main() {
@@ -17,19 +18,16 @@ fn main() {
     let alpha = 2.0;
     let ks = [2u32, 3, 4, 5, 7, 10, 1000];
     println!("Equilibrium quality vs knowledge radius (random trees, n = {n}, α = {alpha}):\n");
-    let states = workloads::tree_states(n, reps, 0xF16);
-    let results = sweep::sweep(&states, &[alpha], &ks, Objective::Max, None);
-    let grouped = sweep::by_cell(&results, &[alpha], &ks, reps);
+    let spec =
+        SweepSpec::tree("locality", n, reps, 0xF16, vec![alpha], ks.to_vec(), Objective::Max);
+    let mut quality: Vec<Vec<f64>> = vec![Vec::new(); ks.len()];
+    engine::execute(&SweepContext::local(), "locality_sweep", &[spec], &mut |_, cell, rec| {
+        quality[cell.ki].extend(rec.quality)
+    });
     println!("{:>6} {:>16} {:>12}", "k", "SC/OPT (±95%)", "trend f(k)");
-    let anchor = {
-        let (_, cells) = grouped[0];
-        let v: Vec<f64> = cells.iter().filter_map(|c| c.result.final_metrics.quality).collect();
-        Summary::of(&v).mean / ncg::bounds::fig7_trend(ks[0])
-    };
+    let anchor = Summary::of(&quality[0]).mean / ncg::bounds::fig7_trend(ks[0]);
     for (i, &k) in ks.iter().enumerate() {
-        let (_, cells) = grouped[i];
-        let v: Vec<f64> = cells.iter().filter_map(|c| c.result.final_metrics.quality).collect();
-        let s = Summary::of(&v);
+        let s = Summary::of(&quality[i]);
         let trend = if k <= 30 {
             format!("{:.2}", anchor * ncg::bounds::fig7_trend(k))
         } else {

@@ -6,8 +6,18 @@
 
 use ncg::constructions::{cycle, TorusGrid};
 use ncg::core::{GameSpec, GameState, Objective};
-use ncg::dynamics::Outcome;
-use ncg::experiments::{sweep, workloads};
+use ncg::experiments::engine::{self, SweepContext};
+use ncg::experiments::sweep::{RunRecord, SweepSpec};
+
+/// Every record of a local run of `spec`, in canonical order
+/// (`α`-major, then `k`, then rep).
+fn records(spec: SweepSpec) -> Vec<RunRecord> {
+    let mut out = Vec::new();
+    engine::execute(&SweepContext::local(), "claims", &[spec], &mut |_, _, record| {
+        out.push(record.clone())
+    });
+    out
+}
 
 /// Section 3.1 / Lemma 3.1: stable cycles make the PoA grow linearly
 /// in `n` for fixed `α ≥ k − 1`.
@@ -48,14 +58,20 @@ fn claim_torus_diameter_linear_in_n() {
 fn claim_view_size_trends() {
     let n = 36;
     let reps = 4;
-    let states = workloads::tree_states(n, reps, 0xBEEF);
-    let alphas = [0.1, 5.0];
     let ks = [2u32, 4];
-    let results = sweep::sweep(&states, &alphas, &ks, Objective::Max, None);
-    let grouped = sweep::by_cell(&results, &alphas, &ks, reps);
+    let results = records(SweepSpec::tree(
+        "views",
+        n,
+        reps,
+        0xBEEF,
+        vec![0.1, 5.0],
+        ks.to_vec(),
+        Objective::Max,
+    ));
+    let grouped: Vec<_> = results.chunks(reps).collect();
     let avg_view = |ai: usize, ki: usize| {
-        let (_, cells) = grouped[ai * ks.len() + ki];
-        cells.iter().map(|c| c.result.final_metrics.avg_view).sum::<f64>() / cells.len() as f64
+        let cells = grouped[ai * ks.len() + ki];
+        cells.iter().map(|c| c.avg_view).sum::<f64>() / cells.len() as f64
     };
     // Growing k widens views dramatically.
     assert!(avg_view(0, 1) > avg_view(0, 0));
@@ -69,24 +85,27 @@ fn claim_view_size_trends() {
 #[test]
 fn claim_fast_convergence_and_rare_cycles() {
     let reps = 6;
-    let states = workloads::tree_states(30, reps, 0xCAFE);
-    let alphas = [0.5, 2.0];
-    let ks = [2u32, 5, 1000];
-    let results = sweep::sweep(&states, &alphas, &ks, Objective::Max, None);
+    let results = records(SweepSpec::tree(
+        "convergence",
+        30,
+        reps,
+        0xCAFE,
+        vec![0.5, 2.0],
+        vec![2, 5, 1000],
+        Objective::Max,
+    ));
     let total = results.len();
     let mut converged = 0;
     let mut cycled = 0;
     let mut fast = 0;
     for c in &results {
-        match c.result.outcome {
-            Outcome::Converged { rounds } => {
-                converged += 1;
-                if rounds <= 7 {
-                    fast += 1;
-                }
+        if c.converged {
+            converged += 1;
+            if c.rounds <= 7 {
+                fast += 1;
             }
-            Outcome::Cycled { .. } => cycled += 1,
-            Outcome::MaxRoundsExceeded { .. } => {}
+        } else if c.cycled() {
+            cycled += 1;
         }
     }
     assert!(converged + cycled == total, "no run may hit the round cap");
@@ -105,9 +124,9 @@ fn claim_quality_gap_small_k_vs_full_knowledge() {
     let reps = 4;
     let alpha = 10.0;
     let quality = |n: usize, k: u32| {
-        let states = workloads::tree_states(n, reps, 0xD00D);
-        let results = sweep::sweep(&states, &[alpha], &[k], Objective::Max, None);
-        let v: Vec<f64> = results.iter().filter_map(|c| c.result.final_metrics.quality).collect();
+        let spec =
+            SweepSpec::tree("quality", n, reps, 0xD00D, vec![alpha], vec![k], Objective::Max);
+        let v: Vec<f64> = records(spec).iter().filter_map(|c| c.quality).collect();
         v.iter().sum::<f64>() / v.len() as f64
     };
     let q_local = quality(48, 2);
@@ -151,12 +170,19 @@ fn claim_solver_matches_bruteforce_on_random_views() {
 #[test]
 fn claim_full_knowledge_hubs_are_less_fair() {
     let reps = 4;
-    let states = workloads::er_states(26, 0.18, reps, 0xFA1);
-    let results = sweep::sweep(&states, &[0.2], &[2, 1000], Objective::Max, None);
-    let grouped = sweep::by_cell(&results, &[0.2], &[2, 1000], reps);
+    let results = records(SweepSpec::er(
+        "fairness",
+        26,
+        0.18,
+        reps,
+        0xFA1,
+        vec![0.2],
+        vec![2, 1000],
+        Objective::Max,
+    ));
+    let grouped: Vec<_> = results.chunks(reps).collect();
     let unfair = |i: usize| {
-        let (_, cells) = grouped[i];
-        let v: Vec<f64> = cells.iter().filter_map(|c| c.result.final_metrics.unfairness).collect();
+        let v: Vec<f64> = grouped[i].iter().filter_map(|c| c.unfairness).collect();
         v.iter().sum::<f64>() / v.len() as f64
     };
     let local = unfair(0);
