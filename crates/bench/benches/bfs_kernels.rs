@@ -25,7 +25,7 @@ use ncg_graph::batch::{
     batch_bfs_opts, BatchDistances, BatchOptions, BatchScratch, Direction, WORD_LANES,
 };
 use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{generators, CsrGraph, Graph, NodeId, INFINITY};
+use ncg_graph::{generators, CsrGraph, NodeId, INFINITY};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
@@ -73,34 +73,33 @@ fn batched_sweep(
     (ecc, reached, status)
 }
 
-fn bench_substrate(c: &mut Criterion, label: &str, g: &Graph) {
-    let n = g.node_count();
-    let csr = CsrGraph::from_graph(g);
+fn bench_substrate(c: &mut Criterion, label: &str, csr: &CsrGraph) {
+    let n = csr.node_count();
     let mut buf = DistanceBuffer::with_capacity(n);
     let mut scratch = BatchScratch::new();
     let mut out = BatchDistances::new();
     let mut sources = Vec::with_capacity(WORD_LANES);
     // Bit-identicality gate before any timing: all three arms must
     // produce the same aggregate triple.
-    let reference = scalar_sweep(&csr, &mut buf);
+    let reference = scalar_sweep(csr, &mut buf);
     for direction in [Direction::TopDown, Direction::Auto] {
         assert_eq!(
-            batched_sweep(&csr, direction, &mut scratch, &mut out, &mut sources),
+            batched_sweep(csr, direction, &mut scratch, &mut out, &mut sources),
             reference,
             "batched {direction:?} sweep diverges from the scalar kernel on {label}/{n}"
         );
     }
     let mut group = c.benchmark_group("bfs_kernels");
     group.sample_size(10);
-    group.bench_with_input(BenchmarkId::new(format!("{label}_scalar"), n), &csr, |b, csr| {
+    group.bench_with_input(BenchmarkId::new(format!("{label}_scalar"), n), csr, |b, csr| {
         b.iter(|| black_box(scalar_sweep(csr, &mut buf)))
     });
-    group.bench_with_input(BenchmarkId::new(format!("{label}_batched"), n), &csr, |b, csr| {
+    group.bench_with_input(BenchmarkId::new(format!("{label}_batched"), n), csr, |b, csr| {
         b.iter(|| {
             black_box(batched_sweep(csr, Direction::TopDown, &mut scratch, &mut out, &mut sources))
         })
     });
-    group.bench_with_input(BenchmarkId::new(format!("{label}_batched_auto"), n), &csr, |b, csr| {
+    group.bench_with_input(BenchmarkId::new(format!("{label}_batched_auto"), n), csr, |b, csr| {
         b.iter(|| {
             black_box(batched_sweep(csr, Direction::Auto, &mut scratch, &mut out, &mut sources))
         })
@@ -112,7 +111,7 @@ fn bench_gnp(c: &mut Criterion) {
     for n in [256usize, 1024, 4096] {
         let mut rng = ChaCha8Rng::seed_from_u64(9);
         let g = generators::gnp_connected(n, 8.0 / n as f64, 1000, &mut rng).unwrap();
-        bench_substrate(c, "gnp", &g);
+        bench_substrate(c, "gnp", &CsrGraph::from_graph(&g));
     }
 }
 

@@ -31,8 +31,8 @@ fn bench_bfs(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("all_pairs_parallel", n), &g, |b, g| {
             b.iter(|| black_box(metrics::distance_matrix(g)))
         });
-        group.bench_with_input(BenchmarkId::new("all_pairs_csr_sequential", n), &csr, |b, csr| {
-            b.iter(|| black_box(csr.distance_matrix()))
+        group.bench_with_input(BenchmarkId::new("all_pairs_parallel_csr", n), &csr, |b, csr| {
+            b.iter(|| black_box(metrics::distance_matrix(csr)))
         });
     }
     group.finish();

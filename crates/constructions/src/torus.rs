@@ -29,7 +29,7 @@
 use std::collections::HashMap;
 
 use ncg_core::{GameSpec, GameState};
-use ncg_graph::{Graph, GraphError, NodeId};
+use ncg_graph::{CsrGraph, Graph, GraphError, NodeId};
 use ncg_solver::is_lke;
 
 /// A built torus/grid instance: graph, ownership and coordinates.
@@ -169,7 +169,11 @@ impl TorusGrid {
         let state = {
             // from_strategies re-sorts and validates against the graph.
             let st = GameState::from_strategies(n_total, strategies);
-            debug_assert_eq!(st.graph(), &graph, "ownership must cover exactly the built edges");
+            debug_assert_eq!(
+                st.graph(),
+                &CsrGraph::from_graph(&graph),
+                "ownership must cover exactly the built edges"
+            );
             st
         };
         Ok(TorusGrid {
@@ -332,7 +336,7 @@ impl TorusGrid {
             strategies[w as usize].push(other);
         }
         let state = GameState::from_strategies(n_total, strategies);
-        debug_assert_eq!(state.graph(), &graph);
+        debug_assert_eq!(state.graph(), &CsrGraph::from_graph(&graph));
         Ok(TorusGrid {
             d,
             deltas: deltas.to_vec(),

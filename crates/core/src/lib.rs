@@ -57,7 +57,7 @@ pub mod view;
 
 pub use scenario::{EdgeCost, EdgeCostModel, MoveRule, MoveRulePolicy, Scenario, UsageCost};
 pub use spec::{GameSpec, Objective, EPS};
-pub use state::{EdgeDiff, GameState};
+pub use state::{ApplyScratch, EdgeDiff, GameState};
 pub use view::{PlayerView, ViewScratch};
 
 /// Re-exported graph substrate, so downstream crates can name graph

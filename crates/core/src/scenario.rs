@@ -24,7 +24,7 @@
 //! mention the new axes when they are non-default, so old journals
 //! keep round-tripping.
 
-use ncg_graph::{metrics, Graph, NodeId};
+use ncg_graph::{metrics, CsrGraph, NodeId};
 use serde::{Deserialize, Serialize};
 
 use crate::deviation::{evaluate_max, evaluate_sum, DeviationEval, EvalScratch};
@@ -69,10 +69,10 @@ pub trait UsageCost: std::fmt::Debug + Sync {
     fn aggregate_usage(&self, reaches_all: bool, ecc: u32, status: u64) -> Option<u64>;
 
     /// Per-vertex usages on the true (full-knowledge) graph.
-    fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>>;
+    fn graph_usages(&self, g: &CsrGraph) -> Vec<Option<u64>>;
 
     /// One vertex's usage on the true graph.
-    fn vertex_usage(&self, g: &Graph, u: NodeId) -> Option<u64>;
+    fn vertex_usage(&self, g: &CsrGraph, u: NodeId) -> Option<u64>;
 
     /// Closed-form social cost of the uniform-α spanning star on
     /// `n ≥ 3` nodes (the `n ≤ 2` degenerate cases are shared).
@@ -111,14 +111,14 @@ impl UsageCost for Eccentricity {
         reaches_all.then_some(ecc as u64)
     }
 
-    fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>> {
+    fn graph_usages(&self, g: &CsrGraph) -> Vec<Option<u64>> {
         metrics::eccentricities(g)
             .into_iter()
             .map(|e| if e == ncg_graph::INFINITY { None } else { Some(e as u64) })
             .collect()
     }
 
-    fn vertex_usage(&self, g: &Graph, u: NodeId) -> Option<u64> {
+    fn vertex_usage(&self, g: &CsrGraph, u: NodeId) -> Option<u64> {
         metrics::eccentricity(g, u).map(|e| e as u64)
     }
 
@@ -161,11 +161,11 @@ impl UsageCost for Status {
         reaches_all.then_some(status)
     }
 
-    fn graph_usages(&self, g: &Graph) -> Vec<Option<u64>> {
+    fn graph_usages(&self, g: &CsrGraph) -> Vec<Option<u64>> {
         metrics::statuses(g)
     }
 
-    fn vertex_usage(&self, g: &Graph, u: NodeId) -> Option<u64> {
+    fn vertex_usage(&self, g: &CsrGraph, u: NodeId) -> Option<u64> {
         metrics::status(g, u)
     }
 

@@ -25,11 +25,11 @@ pub fn player_costs(state: &GameState, spec: &GameSpec) -> Vec<Option<f64>> {
 /// `C_u = α·|σ_u| + usage_u`, with no BFS of its own.
 ///
 /// This is the no-traversal core the BFS entry points above feed.
-/// Callers that already hold per-vertex distance arrays — the CSR
-/// freeze in `ncg_dynamics::StateMetrics::measure` takes one full BFS
-/// per vertex anyway for the diameter and view statistics — pass their
-/// usages here instead of paying a second per-vertex sweep over the
-/// mutable adjacency (parity-tested against the BFS path).
+/// Callers that already hold per-vertex distance arrays —
+/// `ncg_dynamics::StateMetrics::measure` takes one full BFS per vertex
+/// anyway for the diameter and view statistics — pass their usages
+/// here instead of paying a second per-vertex sweep over the graph
+/// (parity-tested against the BFS path).
 pub fn player_costs_with_usages(
     state: &GameState,
     spec: &GameSpec,

@@ -48,13 +48,15 @@ pub struct CycleDetector {
 }
 
 /// The well-mixed fingerprint term of `(player, strategy)`: FNV-1a
-/// over the id and the sorted purchase list, finalised with the
-/// splitmix64 mixer so that XOR-combining terms across players keeps
-/// high entropy. Deterministic across runs and platforms.
-fn player_term(u: NodeId, sigma: &[NodeId]) -> u64 {
+/// over `seed`, the id and the sorted purchase list, finalised with
+/// the splitmix64 mixer so that XOR-combining terms across players
+/// keeps high entropy. Deterministic across runs and platforms. The
+/// exact tier's detector uses seed 0; the scale tier's 128-bit
+/// fingerprint XORs two independently seeded lanes.
+pub(crate) fn player_term(seed: u64, u: NodeId, sigma: &[NodeId]) -> u64 {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
+    let mut h = FNV_OFFSET ^ seed;
     h = (h ^ u as u64).wrapping_mul(FNV_PRIME);
     for &v in sigma {
         h = (h ^ (v as u64 + 1)).wrapping_mul(FNV_PRIME);
@@ -72,7 +74,7 @@ impl CycleDetector {
     pub fn new(state: &GameState) -> Self {
         let mut fp = 0u64;
         for u in 0..state.n() as NodeId {
-            fp ^= player_term(u, state.strategy(u));
+            fp ^= player_term(0, u, state.strategy(u));
         }
         let mut seen = HashMap::new();
         seen.insert(fp, vec![0]);
@@ -88,7 +90,7 @@ impl CycleDetector {
             self.journal.last().is_none_or(|e| e.round <= round),
             "journal rounds must be non-decreasing"
         );
-        self.fp ^= player_term(u, old) ^ player_term(u, new);
+        self.fp ^= player_term(0, u, old) ^ player_term(0, u, new);
         self.journal.push(JournalEntry { round, player: u, old_strategy: old.to_vec() });
     }
 
@@ -178,10 +180,10 @@ mod tests {
     fn fingerprint_is_order_insensitive_across_players_but_not_targets() {
         // Same multiset of (player, strategy) pairs → same fingerprint;
         // swapping which player owns which strategy must change it.
-        let a = player_term(0, &[1]) ^ player_term(1, &[2]);
-        let b = player_term(1, &[2]) ^ player_term(0, &[1]);
+        let a = player_term(0, 0, &[1]) ^ player_term(0, 1, &[2]);
+        let b = player_term(0, 1, &[2]) ^ player_term(0, 0, &[1]);
         assert_eq!(a, b);
-        let c = player_term(0, &[2]) ^ player_term(1, &[1]);
+        let c = player_term(0, 0, &[2]) ^ player_term(0, 1, &[1]);
         assert_ne!(a, c);
     }
 

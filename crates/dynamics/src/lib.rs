@@ -30,8 +30,8 @@
 //! * [`StateMetrics`] — the per-network statistics the paper collects
 //!   after every round (diameter, social cost, degrees, bought edges,
 //!   view sizes, fairness).
-//! * [`scale`] — the million-node tier: flat structure-of-arrays
-//!   state, CSR-native greedy responders, and simultaneous rounds
+//! * [`scale`] — the million-node tier: CSR-native greedy
+//!   responders over the same flat `GameState`, and simultaneous rounds
 //!   with deterministic conflict resolution (approximate responders,
 //!   exact pricing; see DESIGN.md §13).
 //!

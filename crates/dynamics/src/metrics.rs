@@ -3,19 +3,17 @@
 
 use ncg_core::{social, GameSpec, GameState};
 use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
-use ncg_graph::{CsrGraph, NodeId};
+use ncg_graph::NodeId;
 use serde::{Deserialize, Serialize};
 
-/// Reusable workspace of the measurement pass: the frozen CSR, the
-/// batched kernel's scratch + result, and the per-player usage
-/// vector. One per repetition (the sweep engine's
-/// [`crate::CacheArena`] owns one), threaded through
-/// [`StateMetrics::measure_with`] so the per-cell epilogue re-allocates
-/// nothing — the same discipline `DistanceBuffer` brings to a single
-/// BFS.
+/// Reusable workspace of the measurement pass: the batched kernel's
+/// scratch + result, and the per-player usage vector. One per
+/// repetition (the sweep engine's [`crate::CacheArena`] owns one),
+/// threaded through [`StateMetrics::measure_with`] so the per-cell
+/// epilogue re-allocates nothing — the same discipline
+/// `DistanceBuffer` brings to a single BFS.
 #[derive(Debug, Clone, Default)]
 pub struct MeasureScratch {
-    csr: CsrGraph,
     batch: BatchScratch,
     dists: BatchDistances,
     usages: Vec<Option<u64>>,
@@ -61,8 +59,8 @@ pub struct StateMetrics {
 impl StateMetrics {
     /// Measures a state under the given spec (view sizes use `spec.k`).
     ///
-    /// One CSR freeze plus ⌈n/64⌉ full 64-lane batched BFS passes
-    /// produce the diameter, both view-size statistics (a ball of
+    /// ⌈n/64⌉ full 64-lane batched BFS passes over the state's CSR
+    /// graph produce the diameter, both view-size statistics (a ball of
     /// radius `k` is exactly the nodes at distance `≤ k`), *and* every
     /// social statistic together: each lane's eccentricity, reach and
     /// status sum give the per-player usage (eccentricity for Max,
@@ -79,7 +77,6 @@ impl StateMetrics {
     pub fn measure_with(state: &GameState, spec: &GameSpec, scratch: &mut MeasureScratch) -> Self {
         let g = state.graph();
         let n = state.n();
-        scratch.csr.refreeze(g);
         let mut min_view = usize::MAX;
         let mut view_total = 0usize;
         let mut ecc_max = 0u32;
@@ -91,13 +88,7 @@ impl StateMetrics {
             let hi = (lo + WORD_LANES).min(n);
             scratch.sources.clear();
             scratch.sources.extend(lo as u32..hi as u32);
-            batch_bfs(
-                &scratch.csr,
-                &scratch.sources,
-                u32::MAX,
-                &mut scratch.batch,
-                &mut scratch.dists,
-            );
+            batch_bfs(g, &scratch.sources, u32::MAX, &mut scratch.batch, &mut scratch.dists);
             for lane in 0..hi - lo {
                 let ecc = scratch.dists.ecc(lane);
                 let reaches_all = scratch.dists.reached(lane) == n;
@@ -234,9 +225,8 @@ mod tests {
     fn measure_scalar(state: &GameState, spec: &GameSpec) -> StateMetrics {
         use ncg_graph::bfs::DistanceBuffer;
         use ncg_graph::INFINITY;
-        let g = state.graph();
+        let csr = state.graph();
         let n = state.n();
-        let csr = CsrGraph::from_graph(g);
         let mut buf = DistanceBuffer::new();
         let usage_cost = spec.objective.usage_cost();
         let (mut min_view, mut view_total, mut ecc_max, mut connected) = (usize::MAX, 0, 0, true);
@@ -255,12 +245,12 @@ mod tests {
         }
         StateMetrics {
             n,
-            edges: g.edge_count(),
+            edges: csr.edge_count(),
             diameter: (n > 0 && connected).then_some(ecc_max),
             social_cost: social::social_cost_with_usages(state, spec, &usages),
             quality: social::quality_with_usages(state, spec, &usages),
-            max_degree: g.max_degree(),
-            avg_degree: g.avg_degree(),
+            max_degree: csr.max_degree(),
+            avg_degree: csr.avg_degree(),
             max_bought: state.max_bought(),
             avg_bought: if n == 0 { 0.0 } else { state.total_bought() as f64 / n as f64 },
             min_view: if n == 0 { 0 } else { min_view },

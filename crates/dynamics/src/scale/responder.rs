@@ -24,12 +24,10 @@
 //! improving; approximation can only cause a missed improvement,
 //! never a false one.
 
-use ncg_core::{EdgeCostModel, GameSpec, MoveRulePolicy, Objective};
+use ncg_core::{EdgeCostModel, GameSpec, GameState, MoveRulePolicy, Objective};
 use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{CsrGraph, NodeId, INFINITY};
 use ncg_solver::bound::purchase_cutoff;
-
-use super::state::ScaleState;
 
 /// Sentinel "no node skipped" for the local BFS kernel.
 const NO_SKIP: u32 = u32::MAX;
@@ -306,7 +304,7 @@ fn consider(
 /// any-subset moves) — asserted, because the count-based pruning via
 /// [`purchase_cutoff`] is unsound otherwise.
 pub fn respond(
-    state: &ScaleState,
+    state: &GameState,
     spec: &GameSpec,
     cfg: &ScaleResponderConfig,
     u: NodeId,
@@ -544,7 +542,7 @@ pub fn respond(
 mod tests {
     use super::*;
     use ncg_core::deviation::evaluate_total;
-    use ncg_core::{GameState, PlayerView, ViewScratch};
+    use ncg_core::{PlayerView, ViewScratch};
 
     fn exhaustive_cfg() -> ScaleResponderConfig {
         ScaleResponderConfig { exhaustive_ball: 1024, max_steps: 64, ..Default::default() }
@@ -558,12 +556,11 @@ mod tests {
         u: NodeId,
         cfg: &ScaleResponderConfig,
     ) -> Option<ScaleMove> {
-        let ss = ScaleState::from_game_state(gs);
         let mut scratch = ScaleScratch::new();
         let mut buf = DistanceBuffer::new();
         let mut ball = Vec::new();
-        collect_ball(ss.graph(), u, spec.k, &mut buf, &mut ball);
-        let mv = respond(&ss, spec, cfg, u, &ball, &mut scratch);
+        collect_ball(gs.graph(), u, spec.k, &mut buf, &mut ball);
+        let mv = respond(gs, spec, cfg, u, &ball, &mut scratch);
         let view = PlayerView::build_with(gs, u, spec.k, &mut ViewScratch::new());
         let current = ncg_core::deviation::current_total(spec, &view);
         if let Some(mv) = &mv {

@@ -1,4 +1,4 @@
-//! Simultaneous-move dynamics over [`ScaleState`] — the scale tier's
+//! Simultaneous-move dynamics over [`GameState`] — the scale tier's
 //! round loop.
 //!
 //! ## Round structure (`RoundMode::Simultaneous`)
@@ -42,13 +42,14 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use ncg_core::GameSpec;
+use ncg_core::{ApplyScratch, GameSpec, GameState};
 use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
 use ncg_graph::{CsrGraph, NodeId};
 use rayon::prelude::*;
 
 use super::responder::{respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
-use super::state::{ApplyScratch, ScaleState};
+use crate::fingerprint::player_term;
+use crate::view_cache::touched_of;
 use crate::Outcome;
 
 /// Players whose proposals one parallel task computes. Fixed — chunk
@@ -245,33 +246,17 @@ impl MarkScratch {
 }
 
 /// 128-bit incremental strategy-profile fingerprint: XOR over players
-/// of two independently seeded well-mixed terms, updated in
+/// of two independently seeded well-mixed terms (the exact tier's
+/// [`player_term`] at seeds `FP_SEED_A` and `FP_SEED_B`), updated in
 /// `O(|σ_old| + |σ_new|)` per accepted move.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 struct ProfileFp(u64, u64);
-
-/// FNV-1a over `(seed, u, σ_u)` finished with the splitmix64 mixer —
-/// the same construction as the exact tier's detector, seeded so the
-/// two fingerprint lanes are independent.
-fn player_term(seed: u64, u: NodeId, sigma: &[NodeId]) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET ^ seed;
-    h = (h ^ u as u64).wrapping_mul(FNV_PRIME);
-    for &v in sigma {
-        h = (h ^ (v as u64 + 1)).wrapping_mul(FNV_PRIME);
-    }
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    h = (h ^ (h >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    h ^ (h >> 31)
-}
 
 const FP_SEED_A: u64 = 0;
 const FP_SEED_B: u64 = 0x9e37_79b9_7f4a_7c15;
 
 impl ProfileFp {
-    fn of_state(state: &ScaleState) -> Self {
+    fn of_state(state: &GameState) -> Self {
         let mut a = 0u64;
         let mut b = 0u64;
         for u in 0..state.n() as NodeId {
@@ -315,37 +300,10 @@ impl ScaleArena {
     }
 }
 
-/// `{u} ∪ (old Δ new)` of a move, ascending — the nodes whose
-/// incident edges or ownership can change (same set as the exact
-/// tier's [`EdgeDiff::touched`](ncg_core::EdgeDiff::touched)).
-fn touched_of(u: NodeId, old: &[NodeId], new: &[NodeId], out: &mut Vec<NodeId>) {
-    out.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < old.len() || j < new.len() {
-        match (old.get(i), new.get(j)) {
-            (Some(&a), Some(&b)) if a == b => {
-                i += 1;
-                j += 1;
-            }
-            (Some(&a), b) if b.is_none() || a < *b.unwrap() => {
-                out.push(a);
-                i += 1;
-            }
-            (_, Some(&b)) => {
-                out.push(b);
-                j += 1;
-            }
-            _ => unreachable!(),
-        }
-    }
-    let pos = out.binary_search(&u).unwrap_err();
-    out.insert(pos, u);
-}
-
 /// Ball sizes of `min(64, n)` evenly spaced players via one batched
 /// BFS call — the only place the whole-graph kernel's `O(n)` setup is
 /// paid, once per run.
-fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSample {
+fn sample_views(state: &GameState, k: u32, arena: &mut ScaleArena) -> ViewSample {
     let n = state.n();
     if n == 0 {
         return ViewSample { lanes: 0, min: 0, max: 0, avg: 0.0 };
@@ -365,7 +323,7 @@ fn sample_views(state: &ScaleState, k: u32, arena: &mut ScaleArena) -> ViewSampl
 /// One simultaneous round. Returns the stats; mutates `state`, the
 /// arena's dirty bookkeeping, and the profile fingerprint.
 fn simultaneous_round(
-    state: &mut ScaleState,
+    state: &mut GameState,
     config: &ScaleConfig,
     arena: &mut ScaleArena,
     fp: &mut ProfileFp,
@@ -380,7 +338,7 @@ fn simultaneous_round(
     let spec = &config.spec;
     let rcfg = &config.responder;
     let pool = &arena.pool;
-    let frozen: &ScaleState = state;
+    let frozen: &GameState = state;
     let proposals: Vec<ScaleMove> = chunks
         .into_par_iter()
         .map_init(
@@ -449,7 +407,7 @@ fn simultaneous_round(
 /// One sequential round: ascending order, each mover immediately
 /// applied (full SoA rebuild per move — reference mode, small `n`).
 fn sequential_round(
-    state: &mut ScaleState,
+    state: &mut GameState,
     config: &ScaleConfig,
     arena: &mut ScaleArena,
     fp: &mut ProfileFp,
@@ -492,7 +450,7 @@ fn sequential_round(
 /// independent of `NCG_THREADS` and of whether a previous run shared
 /// the arena.
 pub fn run_scale(
-    state: &mut ScaleState,
+    state: &mut GameState,
     config: &ScaleConfig,
     arena: &mut ScaleArena,
 ) -> ScaleRunResult {
@@ -534,12 +492,11 @@ pub fn run_scale(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ncg_core::GameState;
 
-    fn successor_path(n: usize) -> ScaleState {
+    fn successor_path(n: usize) -> GameState {
         let strategies: Vec<Vec<NodeId>> =
             (0..n).map(|u| if u + 1 < n { vec![u as NodeId + 1] } else { vec![] }).collect();
-        ScaleState::from_game_state(&GameState::from_strategies(n, strategies))
+        GameState::from_strategies(n, strategies)
     }
 
     #[test]

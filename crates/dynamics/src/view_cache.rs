@@ -234,46 +234,14 @@ impl ViewCache {
         // post-move sweep reuses the mutation's own endpoint report,
         // and the debug assertion below pins the two computations to
         // each other.
-        self.touched.clear();
-        self.touched.push(u);
         let mut normalized = new_strategy;
         normalized.sort_unstable();
         normalized.dedup();
-        let old = state.strategy(u);
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < normalized.len() {
-            match (old.get(i), normalized.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    self.touched.push(a);
-                    i += 1;
-                }
-                (Some(_), Some(&b)) => {
-                    self.touched.push(b);
-                    j += 1;
-                }
-                (Some(&a), None) => {
-                    self.touched.push(a);
-                    i += 1;
-                }
-                (None, Some(&b)) => {
-                    self.touched.push(b);
-                    j += 1;
-                }
-                (None, None) => unreachable!(),
-            }
-        }
+        touched_of(u, state.strategy(u), &normalized, &mut self.touched);
         self.sweep_and_mark(state);
         let diff = state.set_strategy(u, normalized);
         debug_assert_eq!(
-            {
-                let mut pre = self.touched.clone();
-                pre.sort_unstable();
-                pre
-            },
+            self.touched,
             {
                 let mut post: Vec<NodeId> = diff.touched().collect();
                 post.sort_unstable();
@@ -311,6 +279,34 @@ impl ViewCache {
     pub fn stats(&self) -> CacheStats {
         self.stats
     }
+}
+
+/// `{u} ∪ (old Δ new)` of a move from sorted purchase lists `old` to
+/// `new`, ascending — the nodes whose incident edges or ownership can
+/// change, i.e. the set [`EdgeDiff::touched`] reports. Both tiers seed
+/// their dirty-ball sweeps from it.
+pub(crate) fn touched_of(u: NodeId, old: &[NodeId], new: &[NodeId], out: &mut Vec<NodeId>) {
+    out.clear();
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < old.len() || j < new.len() {
+        match (old.get(i), new.get(j)) {
+            (Some(&a), Some(&b)) if a == b => {
+                i += 1;
+                j += 1;
+            }
+            (Some(&a), b) if b.is_none() || a < *b.unwrap() => {
+                out.push(a);
+                i += 1;
+            }
+            (_, Some(&b)) => {
+                out.push(b);
+                j += 1;
+            }
+            _ => unreachable!(),
+        }
+    }
+    let pos = out.binary_search(&u).unwrap_err();
+    out.insert(pos, u);
 }
 
 #[cfg(test)]

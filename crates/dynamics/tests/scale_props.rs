@@ -9,7 +9,7 @@ use ncg_core::deviation::{current_total, evaluate_total, EvalScratch};
 use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
 use ncg_dynamics::scale::{
     collect_ball, respond, run_scale, RoundMode, ScaleArena, ScaleConfig, ScaleResponderConfig,
-    ScaleScratch, ScaleState,
+    ScaleScratch,
 };
 use ncg_graph::bfs::DistanceBuffer;
 use ncg_graph::{generators, NodeId};
@@ -38,15 +38,14 @@ fn exhaustive_cfg() -> ScaleResponderConfig {
 /// evaluator; returns `(player, achieved cost, exact best cost)` per
 /// player.
 fn check_all_players(gs: &GameState, spec: &GameSpec) -> Vec<(NodeId, f64, f64)> {
-    let ss = ScaleState::from_game_state(gs);
     let mut scratch = ScaleScratch::new();
     let mut buf = DistanceBuffer::new();
     let mut ball = Vec::new();
     let mut solver = SolverScratch::new();
     let mut out = Vec::new();
     for u in 0..gs.n() as NodeId {
-        collect_ball(ss.graph(), u, spec.k, &mut buf, &mut ball);
-        let mv = respond(&ss, spec, &exhaustive_cfg(), u, &ball, &mut scratch);
+        collect_ball(gs.graph(), u, spec.k, &mut buf, &mut ball);
+        let mv = respond(gs, spec, &exhaustive_cfg(), u, &ball, &mut scratch);
         let view = PlayerView::build_with(gs, u, spec.k, &mut ViewScratch::new());
         let current = current_total(spec, &view);
         let achieved = match &mv {
@@ -124,9 +123,8 @@ proptest! {
         k in 2u32..4,
     ) {
         let alpha = [0.4, 1.2, 4.0][ai];
-        let gs = tree_state(n, seed);
+        let initial = tree_state(n, seed);
         let spec = GameSpec::max(alpha, k);
-        let initial = ScaleState::from_game_state(&gs);
         let mut config = ScaleConfig::new(spec);
         config.max_rounds = 64;
         let mut sim_state = initial.clone();
@@ -158,9 +156,8 @@ proptest! {
 fn parity_condition_is_reachable_on_a_known_instance() {
     let mut hit = false;
     for seed in 0..64u64 {
-        let gs = tree_state(9, seed);
+        let initial = tree_state(9, seed);
         let spec = GameSpec::max(2.5, 3);
-        let initial = ScaleState::from_game_state(&gs);
         let mut config = ScaleConfig::new(spec);
         config.max_rounds = 64;
         let mut sim_state = initial.clone();
@@ -196,7 +193,7 @@ fn runs_are_bit_identical_across_thread_counts() {
         .enumerate()
         .map(|(i, (u, v))| if i % 2 == 0 { (u, v) } else { (v, u) })
         .collect();
-    let initial = ScaleState::from_owned_edges(3_000, &owned);
+    let initial = GameState::from_owned_edges(3_000, &owned);
     let mut config = ScaleConfig::new(GameSpec::max(1.0, 2));
     config.max_rounds = 4;
     let run_with_threads = |threads: usize| {

@@ -49,12 +49,13 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use ncg_core::GameState;
 use parking_lot::Mutex;
 
 use crate::fault::{self, FaultPlan};
 use crate::journal::{self, CellFailed, JournalEntry, JournalWriter};
 use crate::protocol::{Reply, Request};
-use crate::sweep::{solve_cell, Arena, Inputs, RunRecord, SweepSpec};
+use crate::sweep::{solve_cell, Arena, RunRecord, SweepSpec};
 
 /// A cell's key in the queue: `(sweep position in the plan, canonical
 /// cell index)`.
@@ -289,6 +290,12 @@ impl LeaseLedger {
     /// truncating a torn trailing line first, and replays it:
     /// returns the ledger plus the keys of grants with no terminal
     /// event — the leases a previous coordinator took to its grave.
+    ///
+    /// A complete line with an unknown event or a non-numeric sweep or
+    /// cell field fails with [`std::io::ErrorKind::InvalidData`] naming
+    /// `path:line`, like a corrupt journal line
+    /// ([`journal::read_lines`]): skipping it could hide an orphaned
+    /// grant.
     pub fn open(path: &Path) -> std::io::Result<(Self, Vec<CellKey>)> {
         if let Some(parent) = path.parent() {
             fs::create_dir_all(parent)?;
@@ -297,23 +304,34 @@ impl LeaseLedger {
         let mut outstanding: BTreeSet<CellKey> = BTreeSet::new();
         match fs::read_to_string(path) {
             Ok(text) => {
-                for line in text.lines() {
+                for (number, line) in text.lines().enumerate() {
                     let mut it = line.split(' ');
-                    let (Some(event), Some(si), Some(cell)) = (it.next(), it.next(), it.next())
-                    else {
-                        continue;
+                    let event = it.next().unwrap_or_default();
+                    let key = match (it.next().map(str::parse), it.next().map(str::parse)) {
+                        (Some(Ok(si)), Some(Ok(cell))) => Some((si, cell)),
+                        _ => None,
                     };
-                    let (Ok(si), Ok(cell)) = (si.parse::<usize>(), cell.parse::<usize>()) else {
-                        continue;
-                    };
-                    match event {
-                        "grant" => {
-                            outstanding.insert((si, cell));
+                    match (event, key) {
+                        ("grant", Some(key)) => {
+                            outstanding.insert(key);
                         }
-                        "complete" | "dup" | "fail" | "expire" | "release" | "abandon" => {
-                            outstanding.remove(&(si, cell));
+                        (
+                            "complete" | "dup" | "fail" | "expire" | "release" | "abandon",
+                            Some(key),
+                        ) => {
+                            outstanding.remove(&key);
                         }
-                        _ => {}
+                        _ => {
+                            return Err(std::io::Error::new(
+                                std::io::ErrorKind::InvalidData,
+                                format!(
+                                    "{}:{}: corrupt lease ledger line {line:?}; \
+                                     fix or delete it and re-run",
+                                    path.display(),
+                                    number + 1
+                                ),
+                            ));
+                        }
                     }
                 }
             }
@@ -793,15 +811,15 @@ enum SessionEnd {
 }
 
 /// Per-worker solving state, kept across reconnects: lazily sampled
-/// [`Inputs`] per sweep, and one warm-start [`Arena`] per
+/// initial states per sweep, and one warm-start [`Arena`] per
 /// `(sweep, rep)` — cells of one rep reuse it whenever the queue
 /// happens to hand them to the same worker (bit-identical either
-/// way; the arena is purely a speedup). Both come in the sweep's
-/// tier, so a million-node worker never materialises a `GameState`.
+/// way; the arena is purely a speedup). The arena comes in the
+/// sweep's tier.
 struct Solver<'a> {
     specs: &'a [SweepSpec],
     warm_start: bool,
-    inputs: HashMap<usize, Inputs>,
+    states: HashMap<usize, Vec<GameState>>,
     arenas: HashMap<(usize, usize), Arena>,
 }
 
@@ -816,9 +834,9 @@ impl Solver<'_> {
         let id = spec.cell(cell);
         // panic_cell targets canonical cell N of the plan's first sweep.
         let inject = si == 0 && fault.is_some_and(|f| f.panics_at_cell(cell));
-        let inputs = self.inputs.entry(si).or_insert_with(|| spec.inputs());
+        let states = self.states.entry(si).or_insert_with(|| spec.states());
         let arena = self.arenas.entry((si, id.rep)).or_insert_with(|| spec.arena());
-        solve_cell(spec, inputs, id, arena, self.warm_start, inject)
+        solve_cell(spec, states, id, arena, self.warm_start, inject)
     }
 }
 
@@ -834,7 +852,7 @@ pub fn work(experiment: &str, specs: &[SweepSpec], opts: &WorkOptions) -> std::i
     let mut solver = Solver {
         specs,
         warm_start: opts.warm_start,
-        inputs: HashMap::new(),
+        states: HashMap::new(),
         arenas: HashMap::new(),
     };
     let mut backoff = Backoff::new(&opts.worker_id);
@@ -1148,6 +1166,26 @@ mod tests {
             vec![(0, 1), (0, 2)],
             "grants without terminal events — the torn one dropped"
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn ledger_corrupt_line_is_an_error_naming_path_and_line() {
+        let dir = std::env::temp_dir().join(format!("ncg_ledger_bad_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = ledger_path(&dir, "demo");
+        for bad in ["grnt 0 2 b", "grant 0 x c", "grant 0", ""] {
+            fs::write(&path, format!("grant 0 1 a\n{bad}\ncomplete 0 1 a\ngrant 0 3 d\n")).unwrap();
+            let err = LeaseLedger::open(&path).expect_err("corrupt line must fail the open");
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{bad:?}");
+            let at = format!("{}:2:", path.display());
+            assert!(err.to_string().contains(&at), "{bad:?}: {err} lacks {at}");
+        }
+        // A torn (unterminated) tail is still truncated, not an error.
+        fs::write(&path, "grant 0 1 a\ngrnt 0").unwrap();
+        let (_ledger, orphaned) = LeaseLedger::open(&path).unwrap();
+        assert_eq!(orphaned, vec![(0, 1)]);
         let _ = fs::remove_dir_all(&dir);
     }
 

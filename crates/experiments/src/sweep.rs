@@ -21,16 +21,17 @@
 //!   aggregates) instead of being collected, and the progress counter
 //!   is a lock-free `AtomicUsize`.
 //!
-//! One cell solver, [`solve_cell`], serves both tiers (exact
-//! `GameState` dynamics and the approximate scale tier, picked by the
-//! spec's [`Workload`]) and both drivers: [`run_spec_cells`] here and
-//! the lease-queue worker in [`crate::queue`]. Callers that want every
-//! record of a grid fold them through [`crate::engine::execute`].
+//! One cell solver, [`solve_cell`], serves both tiers (the exact
+//! view-cache dynamics and the approximate scale tier, picked by the
+//! spec's [`Workload`], over the same `GameState` inputs) and both
+//! drivers: [`run_spec_cells`] here and the lease-queue worker in
+//! [`crate::queue`]. Callers that want every record of a grid fold
+//! them through [`crate::engine::execute`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use ncg_core::{EdgeCostModel, GameState, MoveRulePolicy, Objective, Scenario};
-use ncg_dynamics::scale::{run_scale, ScaleArena, ScaleConfig, ScaleRunResult, ScaleState};
+use ncg_dynamics::scale::{run_scale, ScaleArena, ScaleConfig, ScaleRunResult};
 use ncg_dynamics::{run, run_with_cache, CacheArena, DynamicsConfig, RunResult};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -160,9 +161,9 @@ impl SweepSpec {
         }
     }
 
-    /// A scale-tier Erdős–Rényi sweep: `G(n, avg_deg/(n-1))` inputs in
-    /// flat [`ScaleState`] layout, solved with the approximate
-    /// simultaneous-move dynamics under a `max_rounds` cap. Only the
+    /// A scale-tier Erdős–Rényi sweep: `G(n, avg_deg/(n-1))` inputs
+    /// sampled by [`SweepSpec::scale_states`], solved with the
+    /// approximate simultaneous-move dynamics under a `max_rounds` cap. Only the
     /// canonical (uniform-price, any-subset) games are supported at
     /// this tier, so the scenario handle is a bare [`Objective`].
     #[allow(clippy::too_many_arguments)] // mirrors `er` plus the round cap
@@ -191,9 +192,9 @@ impl SweepSpec {
         }
     }
 
-    /// Whether this sweep runs on the scale tier (flat states, the
-    /// approximate simultaneous dynamics, [`ScaleArena`] warm starts)
-    /// instead of the exact `GameState` path.
+    /// Whether this sweep runs on the scale tier (the approximate
+    /// simultaneous dynamics, [`ScaleArena`] warm starts) instead of
+    /// the exact view-cache dynamics.
     pub fn is_scale(&self) -> bool {
         matches!(self.workload, Workload::ScaleEr { .. })
     }
@@ -254,44 +255,26 @@ impl SweepSpec {
     }
 
     /// Samples the sweep's initial states (one per rep, seeded
-    /// per-instance — reproducible in isolation).
-    ///
-    /// # Panics
-    /// Panics for scale sweeps, whose inputs must never round-trip
-    /// through a `GameState` (`O(n)` allocations); use
-    /// [`SweepSpec::scale_states`] there — or [`SweepSpec::inputs`],
-    /// which dispatches for you.
+    /// per-instance — reproducible in isolation), for either tier.
     pub fn states(&self) -> Vec<GameState> {
         match self.workload {
             Workload::Tree => workloads::tree_states(self.n, self.reps, self.seed),
             Workload::Er(p) => workloads::er_states(self.n, p, self.reps, self.seed),
-            Workload::ScaleEr { .. } => {
-                panic!("scale sweeps sample flat ScaleStates; call scale_states() instead")
-            }
+            Workload::ScaleEr { .. } => self.scale_states(),
         }
     }
 
-    /// Samples a scale sweep's initial states in flat layout.
+    /// Samples a scale sweep's initial states straight from an edge
+    /// list, never building a `Graph`.
     ///
     /// # Panics
     /// Panics for exact-tier workloads; use [`SweepSpec::states`].
-    pub fn scale_states(&self) -> Vec<ScaleState> {
+    pub fn scale_states(&self) -> Vec<GameState> {
         match self.workload {
             Workload::ScaleEr { avg_deg, .. } => {
                 workloads::scale_er_states(self.n, avg_deg, self.reps, self.seed)
             }
-            _ => panic!("exact-tier sweeps sample GameStates; call states() instead"),
-        }
-    }
-
-    /// Samples the sweep's initial states in its tier's representation
-    /// — the one place besides [`SweepSpec::arena`] and [`solve_cell`]
-    /// where the tier is chosen.
-    pub fn inputs(&self) -> Inputs {
-        if self.is_scale() {
-            Inputs::Scale(self.scale_states())
-        } else {
-            Inputs::Exact(self.states())
+            _ => panic!("exact-tier sweeps sample through states(), not scale_states()"),
         }
     }
 
@@ -392,18 +375,6 @@ impl Shard {
     }
 }
 
-/// A sweep's initial states in the representation of its tier: exact
-/// workloads sample `GameState`s, scale workloads flat [`ScaleState`]s
-/// (a million-node input must never round-trip through a
-/// `GameState`). Built by [`SweepSpec::inputs`].
-#[derive(Debug)]
-pub enum Inputs {
-    /// One `GameState` per rep, for the exact dynamics.
-    Exact(Vec<GameState>),
-    /// One flat `ScaleState` per rep, for the approximate dynamics.
-    Scale(Vec<ScaleState>),
-}
-
 /// Warm-start scratch for one repetition's cells, in the tier of its
 /// sweep: a [`CacheArena`] (view cache + solver scratch) or a
 /// [`ScaleArena`] (dirty set + scratch pool). Built by
@@ -421,23 +392,24 @@ pub enum Arena {
 /// one cell solver behind both the in-process engine
 /// ([`run_spec_cells`]) and the lease-queue worker.
 ///
-/// The rep's initial state is cloned out of `inputs` and the spec's
-/// dynamics run on `arena`: warm-started when `warm_start` is set,
-/// from fresh scratch otherwise (`--cold`; outcomes are bit-identical
-/// either way). A panic anywhere inside the solve — or injected via
-/// `inject_panic`, the `panic_cell` fault — is caught, the arena is
-/// replaced by a fresh one (its dirty tracking and scratch may have
-/// been left mid-update, so the warm-start soundness argument no
-/// longer covers them), and the payload comes back as `Err(message)`.
+/// The rep's initial state is cloned out of `states` (the sweep's
+/// [`SweepSpec::states`]) and the spec's dynamics run on `arena`:
+/// warm-started when `warm_start` is set, from fresh scratch otherwise
+/// (`--cold`; outcomes are bit-identical either way). A panic
+/// anywhere inside the solve — or injected via `inject_panic`, the
+/// `panic_cell` fault — is caught, the arena is replaced by a fresh
+/// one (its dirty tracking and scratch may have been left mid-update,
+/// so the warm-start soundness argument no longer covers them), and
+/// the payload comes back as `Err(message)`.
 /// The *next* cell on the same arena is then observationally a cold
 /// run.
 ///
 /// # Panics
-/// Panics (caught, as a failed cell) if `inputs` or `arena` belong to
-/// the other tier than `spec`.
+/// Panics (caught, as a failed cell) if `arena` belongs to the other
+/// tier than `spec`.
 pub fn solve_cell(
     spec: &SweepSpec,
-    inputs: &Inputs,
+    states: &[GameState],
     cell: CellId,
     arena: &mut Arena,
     warm_start: bool,
@@ -449,8 +421,8 @@ pub fn solve_cell(
         if inject_panic {
             panic!("injected fault: panic_cell");
         }
-        match (&spec.workload, inputs, &mut *arena) {
-            (Workload::ScaleEr { max_rounds, .. }, Inputs::Scale(states), Arena::Scale(arena)) => {
+        match (&spec.workload, &mut *arena) {
+            (Workload::ScaleEr { max_rounds, .. }, Arena::Scale(arena)) => {
                 if !warm_start {
                     **arena = ScaleArena::new();
                 }
@@ -460,7 +432,7 @@ pub fn solve_cell(
                 let result = run_scale(&mut state, &config, arena);
                 RunRecord::from_scale(spec.class(), alpha, k, cell.rep, &result, &state)
             }
-            (Workload::Tree | Workload::Er(_), Inputs::Exact(states), Arena::Exact(arena)) => {
+            (Workload::Tree | Workload::Er(_), Arena::Exact(arena)) => {
                 let config = DynamicsConfig::new(game);
                 let state = states[cell.rep].clone();
                 let result = if warm_start {
@@ -470,7 +442,7 @@ pub fn solve_cell(
                 };
                 RunRecord::new(spec.class(), spec.n, alpha, k, cell.rep, &result)
             }
-            _ => panic!("sweep '{}': inputs or arena of the wrong tier", spec.label),
+            _ => panic!("sweep '{}': arena of the wrong tier", spec.label),
         }
     }));
     outcome.map_err(|payload| {
@@ -505,7 +477,7 @@ pub fn run_spec_cells(
     fault: Option<&crate::fault::FaultPlan>,
 ) {
     assert!(shard.count >= 1 && shard.index < shard.count, "invalid shard {shard:?}");
-    let inputs = spec.inputs();
+    let states = spec.states();
     // A rep's cells in canonical order (α-major, then k), minus the
     // skipped ones.
     let cells_of = |rep: usize| {
@@ -525,7 +497,7 @@ pub fn run_spec_cells(
             let mut arena = spec.arena();
             for cell in cells_of(rep) {
                 let inject = fault.is_some_and(|f| f.panics_at_cell(cell.index));
-                sink(cell, solve_cell(spec, &inputs, cell, &mut arena, warm_start, inject));
+                sink(cell, solve_cell(spec, &states, cell, &mut arena, warm_start, inject));
                 if let Some(cb) = progress {
                     cb(done.fetch_add(1, Ordering::Relaxed) + 1, total);
                 }
@@ -615,12 +587,9 @@ impl RunRecord {
         k: u32,
         rep: usize,
         result: &ScaleRunResult,
-        final_state: &ScaleState,
+        final_state: &GameState,
     ) -> Self {
         let n = final_state.n();
-        let g = final_state.graph();
-        let max_degree =
-            (0..n as ncg_graph::NodeId).map(|u| g.neighbors(u).len()).max().unwrap_or(0);
         RunRecord {
             class: class.to_string(),
             n,
@@ -633,7 +602,7 @@ impl RunRecord {
             moves: result.total_moves,
             diameter: None,
             quality: None,
-            max_degree,
+            max_degree: final_state.graph().max_degree(),
             max_bought: final_state.max_bought(),
             min_view: result.view_sample.min,
             avg_view: result.view_sample.avg,
@@ -894,9 +863,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "scale sweeps sample flat ScaleStates")]
-    fn scale_spec_refuses_game_states() {
-        let _ = tiny_scale_spec().states();
+    fn scale_spec_states_come_from_the_scale_sampler() {
+        let spec = tiny_scale_spec();
+        assert_eq!(spec.states(), spec.scale_states());
+    }
+
+    #[test]
+    #[should_panic(expected = "exact-tier sweeps sample through states()")]
+    fn exact_spec_refuses_the_scale_sampler() {
+        let _ = SweepSpec::tree("t", 8, 1, 1, vec![1.0], vec![2], Objective::Max).scale_states();
     }
 
     #[test]
@@ -980,7 +955,7 @@ mod tests {
     fn solve_cell_fails_a_cell_whose_arena_is_of_the_other_tier() {
         let spec = tiny_scale_spec();
         let mut arena = Arena::Exact(Box::default());
-        let entry = solve_cell(&spec, &spec.inputs(), spec.cell(0), &mut arena, true, false);
+        let entry = solve_cell(&spec, &spec.states(), spec.cell(0), &mut arena, true, false);
         assert!(entry.unwrap_err().contains("wrong tier"));
         assert!(
             matches!(arena, Arena::Scale(_)),

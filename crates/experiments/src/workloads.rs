@@ -8,7 +8,6 @@
 //! cell, exactly as the paper does.
 
 use ncg_core::GameState;
-use ncg_dynamics::scale::ScaleState;
 use ncg_graph::generators;
 use ncg_graph::NodeId;
 use rand::{Rng, SeedableRng};
@@ -57,10 +56,10 @@ pub fn er_states(n: usize, p: f64, reps: usize, base_seed: u64) -> Vec<GameState
         .collect()
 }
 
-/// `reps` flat `G(n, p)` samples with coin-toss ownership for the
+/// `reps` `G(n, p)` samples with coin-toss ownership for the
 /// million-node scale tier, built straight from the edge stream
-/// ([`generators::gnp_edges`] → [`ScaleState::from_owned_edges`])
-/// without ever materialising a `Graph` or `GameState`. `p` is chosen
+/// ([`generators::gnp_edges`] → [`GameState::from_owned_edges`])
+/// without ever materialising a per-node `Vec` `Graph`. `p` is chosen
 /// as `avg_deg / (n - 1)` so the expected degree is `avg_deg`.
 ///
 /// Unlike [`er_states`] there is no connectivity conditioning: at
@@ -68,7 +67,7 @@ pub fn er_states(n: usize, p: f64, reps: usize, base_seed: u64) -> Vec<GameState
 /// `ln n ≈ 13.8` connectivity threshold, and the locality-based game
 /// is well-defined on disconnected inputs anyway (usage is computed on
 /// the radius-`k` view, and an isolated player simply stands pat).
-pub fn scale_er_states(n: usize, avg_deg: f64, reps: usize, base_seed: u64) -> Vec<ScaleState> {
+pub fn scale_er_states(n: usize, avg_deg: f64, reps: usize, base_seed: u64) -> Vec<GameState> {
     let p = if n > 1 { (avg_deg / (n - 1) as f64).min(1.0) } else { 0.0 };
     (0..reps)
         .map(|rep| {
@@ -87,7 +86,7 @@ pub fn scale_er_states(n: usize, avg_deg: f64, reps: usize, base_seed: u64) -> V
                 .into_iter()
                 .map(|(u, v)| if rng.random::<bool>() { (u, v) } else { (v, u) })
                 .collect();
-            ScaleState::from_owned_edges(n, &owned)
+            GameState::from_owned_edges(n, &owned)
         })
         .collect()
 }

@@ -46,7 +46,7 @@ fn reference_bytes(specs: &[SweepSpec], experiment: &str) -> Vec<u8> {
 /// are bit-identical anyway) and renders its record JSON.
 fn solve_json(specs: &[SweepSpec], si: usize, cell: usize) -> String {
     let spec = &specs[si];
-    let record = solve_cell(spec, &spec.inputs(), spec.cell(cell), &mut spec.arena(), false, false)
+    let record = solve_cell(spec, &spec.states(), spec.cell(cell), &mut spec.arena(), false, false)
         .expect("clean solve");
     serde_json::to_string(&record).unwrap()
 }
@@ -149,13 +149,13 @@ fn scale_cells_out_of_order_match_local_bytes() {
     // one warm arena per rep), then report in reverse order.
     let spec = &specs[0];
     let grants: Vec<_> = (0..spec.cell_count()).map(|_| lease(&c, "a", t0)).collect();
-    let inputs = spec.inputs();
+    let states = spec.states();
     let mut arenas: Vec<_> = (0..spec.reps).map(|_| spec.arena()).collect();
     let records: Vec<String> = grants
         .iter()
         .map(|&(_, cell)| {
             let id = spec.cell(cell);
-            let record = solve_cell(spec, &inputs, id, &mut arenas[id.rep], true, false)
+            let record = solve_cell(spec, &states, id, &mut arenas[id.rep], true, false)
                 .expect("clean solve");
             serde_json::to_string(&record).unwrap()
         })

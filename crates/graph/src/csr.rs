@@ -1,12 +1,14 @@
 //! Frozen CSR (compressed sparse row) graph representation.
 //!
-//! [`Graph`]'s `Vec<Vec<NodeId>>` adjacency is ideal for the mutation
-//! the dynamics performs, but its per-node heap allocations scatter
-//! the neighbour lists across the heap. The all-pairs BFS sweeps of
-//! the metrics layer and the best-response reduction read the whole
+//! [`Graph`]'s `Vec<Vec<NodeId>>` adjacency is ideal for edge-by-edge
+//! construction, but its per-node heap allocations scatter the
+//! neighbour lists across the heap. The all-pairs BFS sweeps of the
+//! metrics layer and the best-response reduction read the whole
 //! adjacency once per source — a contiguous offsets/targets layout
 //! ([`CsrGraph`]) keeps those sweeps inside a single prefetch-friendly
-//! allocation. Freezing is `O(n + m)`; the benches in
+//! allocation. It is the graph a game state holds (rebuilt from the
+//! strategy rows by [`CsrGraph::rebuild_from_edges`]); freezing a
+//! [`Graph`] is `O(n + m)`. The benches in
 //! `ncg-bench/benches/substrates.rs` quantify the BFS win.
 
 use crate::bfs::{Adjacency, DistanceBuffer};
@@ -25,27 +27,15 @@ pub struct CsrGraph {
 impl CsrGraph {
     /// Freezes a [`Graph`] into CSR form.
     pub fn from_graph(g: &Graph) -> Self {
-        let mut csr = CsrGraph { offsets: Vec::new(), targets: Vec::new() };
-        csr.refreeze(g);
-        csr
-    }
-
-    /// Re-freezes `g` into this CSR, reusing the offsets/targets
-    /// allocations of the previous freeze — the per-cell epilogue path
-    /// of the sweep engine, which measures one state per repetition ×
-    /// `(α, k)` cell and would otherwise re-allocate the layout every
-    /// time. Equivalent to `*self = CsrGraph::from_graph(g)`.
-    pub fn refreeze(&mut self, g: &Graph) {
         let n = g.node_count();
-        self.offsets.clear();
-        self.offsets.reserve(n + 1);
-        self.targets.clear();
-        self.targets.reserve(2 * g.edge_count());
-        self.offsets.push(0);
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut targets = Vec::with_capacity(2 * g.edge_count());
+        offsets.push(0);
         for u in 0..n as NodeId {
-            self.targets.extend_from_slice(g.neighbors(u));
-            self.offsets.push(self.targets.len() as u32);
+            targets.extend_from_slice(g.neighbors(u));
+            offsets.push(targets.len() as u32);
         }
+        CsrGraph { offsets, targets }
     }
 
     /// Builds a CSR directly from an undirected edge list, never
@@ -59,10 +49,11 @@ impl CsrGraph {
     /// Re-builds this CSR from an undirected edge list via a two-pass
     /// counting sort, reusing the offsets/targets allocations.
     ///
-    /// This is the scale-tier constructor: the SoA game state stores
+    /// This is the game state's constructor: the state stores
     /// strategies as a flat CSR and derives the adjacency by streaming
-    /// `(owner, target)` pairs through here every round — `O(n + m)`
-    /// with two contiguous passes, no per-node `Vec` in sight.
+    /// `(owner, target)` pairs through here after every move or round
+    /// — `O(n + m)` with two contiguous passes, no per-node `Vec` in
+    /// sight.
     /// Duplicate pairs (a double-bought edge — both endpoints purchase
     /// it) and either orientation are tolerated: rows come out sorted
     /// ascending and deduplicated, identical to freezing the
@@ -151,6 +142,20 @@ impl CsrGraph {
         (self.offsets[u as usize + 1] - self.offsets[u as usize]) as usize
     }
 
+    /// Maximum degree over all nodes (0 for the empty graph).
+    pub fn max_degree(&self) -> usize {
+        self.offsets.windows(2).map(|w| (w[1] - w[0]) as usize).max().unwrap_or(0)
+    }
+
+    /// Average degree, `2m / n` (0 for the empty graph).
+    pub fn avg_degree(&self) -> f64 {
+        if self.node_count() == 0 {
+            0.0
+        } else {
+            2.0 * self.edge_count() as f64 / self.node_count() as f64
+        }
+    }
+
     /// Full BFS from `source` on the CSR layout; same contract as
     /// [`crate::bfs::bfs`]. Returns the largest finite distance.
     pub fn bfs(&self, source: NodeId, buf: &mut DistanceBuffer) -> u32 {
@@ -175,29 +180,6 @@ impl CsrGraph {
     ) -> u32 {
         crate::bfs::bfs_multi_bounded(self, sources, limit, buf)
     }
-
-    /// All-pairs distance matrix via per-source BFS (sequential; the
-    /// caller parallelises over chunks if desired).
-    pub fn distance_matrix(&self) -> Vec<Vec<u32>> {
-        let n = self.node_count();
-        let mut buf = DistanceBuffer::with_capacity(n);
-        (0..n as NodeId)
-            .map(|u| {
-                self.bfs(u, &mut buf);
-                buf.distances().to_vec()
-            })
-            .collect()
-    }
-
-    /// Eccentricity of `u` (`None` when `u` does not reach everyone).
-    pub fn eccentricity(&self, u: NodeId, buf: &mut DistanceBuffer) -> Option<u32> {
-        let ecc = self.bfs(u, buf);
-        if buf.visited().len() == self.node_count() {
-            Some(ecc)
-        } else {
-            None
-        }
-    }
 }
 
 impl Adjacency for CsrGraph {
@@ -213,8 +195,8 @@ impl Adjacency for CsrGraph {
 }
 
 impl Default for CsrGraph {
-    /// The CSR of the empty graph — a valid freeze target for
-    /// [`CsrGraph::refreeze`], so scratch bundles can derive `Default`.
+    /// The CSR of the empty graph, so states and scratch bundles can
+    /// derive `Default`.
     fn default() -> Self {
         CsrGraph { offsets: vec![0], targets: Vec::new() }
     }
@@ -230,7 +212,7 @@ impl From<&Graph> for CsrGraph {
 mod tests {
     use super::*;
     use crate::bfs::bfs;
-    use crate::generators;
+    use crate::{generators, metrics};
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -276,17 +258,16 @@ mod tests {
     fn csr_distance_matrix_matches_metrics() {
         let g = generators::cycle(11);
         let csr = CsrGraph::from_graph(&g);
-        assert_eq!(csr.distance_matrix(), crate::metrics::distance_matrix(&g));
+        assert_eq!(metrics::distance_matrix(&csr), metrics::distance_matrix(&g));
     }
 
     #[test]
     fn csr_eccentricity_and_disconnection() {
         let g = Graph::from_edges(5, [(0, 1), (1, 2)]).unwrap();
         let csr = CsrGraph::from_graph(&g);
-        let mut buf = DistanceBuffer::new();
-        assert_eq!(csr.eccentricity(0, &mut buf), None);
+        assert_eq!(metrics::eccentricity(&csr, 0), None);
         let c = CsrGraph::from_graph(&generators::cycle(8));
-        assert_eq!(c.eccentricity(0, &mut buf), Some(4));
+        assert_eq!(metrics::eccentricity(&c, 0), Some(4));
     }
 
     #[test]
@@ -305,21 +286,6 @@ mod tests {
             assert_eq!(a.distances(), b.distances());
             assert_eq!(a.visited(), b.visited());
         }
-    }
-
-    #[test]
-    fn refreeze_reuses_and_matches_fresh_freeze() {
-        let mut rng = ChaCha8Rng::seed_from_u64(3);
-        let mut csr = CsrGraph::from_graph(&generators::path(40));
-        for p in [0.03, 0.08, 0.2] {
-            let g = generators::gnp(35, p, &mut rng).unwrap();
-            csr.refreeze(&g);
-            assert_eq!(csr, CsrGraph::from_graph(&g));
-        }
-        // Shrinking to a smaller graph is fine too.
-        csr.refreeze(&generators::path(3));
-        assert_eq!(csr.node_count(), 3);
-        assert_eq!(csr, CsrGraph::from_graph(&generators::path(3)));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use std::fmt::Write as _;
 
-use crate::{Graph, NodeId};
+use crate::bfs::Adjacency;
+use crate::NodeId;
 
 /// Options controlling DOT output.
 #[derive(Debug, Clone, Default)]
@@ -17,17 +18,19 @@ pub struct DotOptions {
     pub highlight: Vec<NodeId>,
 }
 
-/// Renders `g` in Graphviz DOT syntax.
-pub fn to_dot(g: &Graph, opts: &DotOptions) -> String {
+/// Renders `g` in Graphviz DOT syntax: every node, then every edge
+/// `u -- v` with `u < v` in ascending order.
+pub fn to_dot<A: Adjacency + ?Sized>(g: &A, opts: &DotOptions) -> String {
     let name = if opts.name.is_empty() { "g" } else { &opts.name };
-    let mut out = String::with_capacity(32 + 16 * g.edge_count());
+    let n = g.node_count() as NodeId;
+    let mut out = String::with_capacity(32 + 16 * n as usize);
     let _ = writeln!(out, "graph {name} {{");
     let _ = writeln!(out, "  node [shape=circle];");
     let mut sorted_labels = opts.labels.clone();
     sorted_labels.sort_unstable_by_key(|&(id, _)| id);
     let mut highlight = opts.highlight.clone();
     highlight.sort_unstable();
-    for u in g.nodes() {
+    for u in 0..n {
         let mut attrs: Vec<String> = Vec::new();
         if let Ok(i) = sorted_labels.binary_search_by_key(&u, |&(id, _)| id) {
             attrs.push(format!("label=\"{}\"", sorted_labels[i].1));
@@ -41,8 +44,10 @@ pub fn to_dot(g: &Graph, opts: &DotOptions) -> String {
             let _ = writeln!(out, "  {u} [{}];", attrs.join(", "));
         }
     }
-    for (u, v) in g.edges() {
-        let _ = writeln!(out, "  {u} -- {v};");
+    for u in 0..n {
+        for &v in g.adjacent(u).iter().filter(|&&v| u < v) {
+            let _ = writeln!(out, "  {u} -- {v};");
+        }
     }
     out.push_str("}\n");
     out
@@ -51,7 +56,7 @@ pub fn to_dot(g: &Graph, opts: &DotOptions) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, Graph};
 
     #[test]
     fn dot_contains_all_edges() {

@@ -3,18 +3,22 @@
 //! All-pairs variants are rayon-parallel over BFS sources with
 //! per-thread [`DistanceBuffer`]s; the result order is deterministic
 //! (indexed collect), independent of scheduling.
+//!
+//! Every metric is generic over [`Adjacency`], so it runs unchanged on
+//! the mutable [`crate::Graph`] and on the frozen [`crate::CsrGraph`]
+//! a game state keeps.
 
 use rayon::prelude::*;
 
-use crate::bfs::{bfs, DistanceBuffer};
-use crate::{Graph, NodeId, INFINITY};
+use crate::bfs::{bfs, Adjacency, DistanceBuffer};
+use crate::{NodeId, INFINITY};
 
 /// Eccentricity of `u`: the largest distance from `u` to any node.
 ///
 /// Returns `None` if `u` does not reach every node (disconnected
 /// graph), mirroring the game semantics where a disconnected player
 /// has unbounded usage cost.
-pub fn eccentricity(g: &Graph, u: NodeId) -> Option<u32> {
+pub fn eccentricity<A: Adjacency + ?Sized>(g: &A, u: NodeId) -> Option<u32> {
     let mut buf = DistanceBuffer::with_capacity(g.node_count());
     let ecc = bfs(g, u, &mut buf);
     if buf.visited().len() == g.node_count() {
@@ -26,7 +30,7 @@ pub fn eccentricity(g: &Graph, u: NodeId) -> Option<u32> {
 
 /// All eccentricities, computed in parallel. `INFINITY` marks nodes
 /// that do not reach the whole graph.
-pub fn eccentricities(g: &Graph) -> Vec<u32> {
+pub fn eccentricities<A: Adjacency + Sync + ?Sized>(g: &A) -> Vec<u32> {
     if g.node_count() == 0 {
         return Vec::new();
     }
@@ -47,7 +51,7 @@ pub fn eccentricities(g: &Graph) -> Vec<u32> {
 }
 
 /// Diameter (largest eccentricity); `None` if disconnected or empty.
-pub fn diameter(g: &Graph) -> Option<u32> {
+pub fn diameter<A: Adjacency + Sync + ?Sized>(g: &A) -> Option<u32> {
     let eccs = eccentricities(g);
     let max = eccs.iter().copied().max()?;
     if max == INFINITY {
@@ -58,7 +62,7 @@ pub fn diameter(g: &Graph) -> Option<u32> {
 }
 
 /// Radius (smallest eccentricity); `None` if disconnected or empty.
-pub fn radius(g: &Graph) -> Option<u32> {
+pub fn radius<A: Adjacency + Sync + ?Sized>(g: &A) -> Option<u32> {
     let eccs = eccentricities(g);
     let min = eccs.iter().copied().min()?;
     if min == INFINITY {
@@ -70,7 +74,7 @@ pub fn radius(g: &Graph) -> Option<u32> {
 
 /// Whether the graph is connected. The empty graph counts as
 /// connected; a single node does too.
-pub fn is_connected(g: &Graph) -> bool {
+pub fn is_connected<A: Adjacency + ?Sized>(g: &A) -> bool {
     if g.node_count() <= 1 {
         return true;
     }
@@ -81,7 +85,7 @@ pub fn is_connected(g: &Graph) -> bool {
 
 /// Sum of distances from `u` to all nodes (the *status* of `u`, the
 /// SumNCG usage cost). `None` if `u` does not reach every node.
-pub fn status(g: &Graph, u: NodeId) -> Option<u64> {
+pub fn status<A: Adjacency + ?Sized>(g: &A, u: NodeId) -> Option<u64> {
     let mut buf = DistanceBuffer::with_capacity(g.node_count());
     bfs(g, u, &mut buf);
     if buf.visited().len() != g.node_count() {
@@ -93,7 +97,7 @@ pub fn status(g: &Graph, u: NodeId) -> Option<u64> {
 /// All statuses at once, rayon-parallel over sources (the SumNCG
 /// social-cost kernel). `None` entries mark nodes that do not reach
 /// the whole graph.
-pub fn statuses(g: &Graph) -> Vec<Option<u64>> {
+pub fn statuses<A: Adjacency + Sync + ?Sized>(g: &A) -> Vec<Option<u64>> {
     (0..g.node_count() as NodeId)
         .into_par_iter()
         .map_init(
@@ -114,7 +118,7 @@ pub fn statuses(g: &Graph) -> Vec<Option<u64>> {
 /// `u`. Parallel over sources; `INFINITY` marks unreachable pairs.
 ///
 /// Memory is `n²·4` bytes — fine for the paper's `n ≤ a few thousand`.
-pub fn distance_matrix(g: &Graph) -> Vec<Vec<u32>> {
+pub fn distance_matrix<A: Adjacency + Sync + ?Sized>(g: &A) -> Vec<Vec<u32>> {
     (0..g.node_count() as NodeId)
         .into_par_iter()
         .map_init(
@@ -134,7 +138,7 @@ pub fn distance_matrix(g: &Graph) -> Vec<Vec<u32>> {
 /// BFS that records parents; a non-tree edge `(u, v)` discovered with
 /// `dist(u) + dist(v) + 1` closes a cycle through the source of that
 /// length or shorter. The minimum over all sources is exact.
-pub fn girth(g: &Graph) -> Option<u32> {
+pub fn girth<A: Adjacency + ?Sized>(g: &A) -> Option<u32> {
     let n = g.node_count();
     let mut best: u32 = INFINITY;
     let mut dist = vec![INFINITY; n];
@@ -156,7 +160,7 @@ pub fn girth(g: &Graph) -> Option<u32> {
             if 2 * du >= best {
                 break 'bfs;
             }
-            for &v in g.neighbors(u) {
+            for &v in g.adjacent(u) {
                 if dist[v as usize] == INFINITY {
                     dist[v as usize] = du + 1;
                     parent[v as usize] = u;
@@ -179,7 +183,7 @@ pub fn girth(g: &Graph) -> Option<u32> {
 }
 
 /// Number of connected components.
-pub fn component_count(g: &Graph) -> usize {
+pub fn component_count<A: Adjacency + ?Sized>(g: &A) -> usize {
     let n = g.node_count();
     let mut seen = vec![false; n];
     let mut buf = DistanceBuffer::with_capacity(n);
@@ -199,7 +203,7 @@ pub fn component_count(g: &Graph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators;
+    use crate::{generators, Graph};
 
     #[test]
     fn path_metrics() {

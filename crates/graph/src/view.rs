@@ -4,12 +4,12 @@
 //! induced by her radius-`k` ball. This module provides the graph-level
 //! machinery; the game layer (`ncg-core`) adds ownership on top.
 
-use crate::bfs::{bfs_bounded, DistanceBuffer};
+use crate::bfs::{bfs_bounded, Adjacency, DistanceBuffer};
 use crate::{Graph, NodeId, INFINITY};
 
 /// The radius-`k` ball around `center`: all nodes at distance `≤ k`,
 /// sorted by node id.
-pub fn ball(g: &Graph, center: NodeId, k: u32) -> Vec<NodeId> {
+pub fn ball<A: Adjacency + ?Sized>(g: &A, center: NodeId, k: u32) -> Vec<NodeId> {
     let mut out = Vec::new();
     ball_into(g, center, k, &mut DistanceBuffer::with_capacity(g.node_count()), &mut out);
     out
@@ -18,8 +18,8 @@ pub fn ball(g: &Graph, center: NodeId, k: u32) -> Vec<NodeId> {
 /// [`ball`] writing into caller-provided scratch: `out` receives the
 /// sorted ball, `buf` is the BFS workspace. Nothing allocates after
 /// warm-up.
-pub fn ball_into(
-    g: &Graph,
+pub fn ball_into<A: Adjacency + ?Sized>(
+    g: &A,
     center: NodeId,
     k: u32,
     buf: &mut DistanceBuffer,
@@ -84,14 +84,14 @@ pub fn induced_subgraph(g: &Graph, nodes: &[NodeId]) -> Subgraph {
 
 /// [`induced_subgraph`] overwriting an existing [`Subgraph`], reusing
 /// its node-map and adjacency allocations (see [`Graph::reset`]).
-pub fn induced_subgraph_into(g: &Graph, nodes: &[NodeId], out: &mut Subgraph) {
+pub fn induced_subgraph_into<A: Adjacency + ?Sized>(g: &A, nodes: &[NodeId], out: &mut Subgraph) {
     out.local_to_global.clear();
     out.local_to_global.extend_from_slice(nodes);
     out.local_to_global.sort_unstable();
     out.local_to_global.dedup();
     out.graph.reset(out.local_to_global.len());
     for (lu, &gu) in out.local_to_global.iter().enumerate() {
-        for &gv in g.neighbors(gu) {
+        for &gv in g.adjacent(gu) {
             if gv > gu {
                 if let Ok(lv) = out.local_to_global.binary_search(&gv) {
                     out.graph.add_edge(lu as NodeId, lv as NodeId);
@@ -110,8 +110,8 @@ pub fn view_subgraph(g: &Graph, center: NodeId, k: u32) -> Subgraph {
 /// sorted ball on return, `buf` is the BFS workspace, `out` the
 /// overwritten subgraph. The allocation-free path of the incremental
 /// view rebuild.
-pub fn view_subgraph_into(
-    g: &Graph,
+pub fn view_subgraph_into<A: Adjacency + ?Sized>(
+    g: &A,
     center: NodeId,
     k: u32,
     buf: &mut DistanceBuffer,

@@ -65,7 +65,7 @@ use ncg_core::equilibrium::{BestResponder, Deviation};
 use ncg_core::{GameSpec, GameState, PlayerView, ViewScratch};
 use ncg_graph::batch::{batch_bfs, BatchDistances, BatchScratch, WORD_LANES};
 use ncg_graph::bfs::DistanceBuffer;
-use ncg_graph::{CsrGraph, NodeId};
+use ncg_graph::NodeId;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -219,8 +219,8 @@ impl BestResponder for Responder {
 /// branch-and-bound of [`sum_engine::SumEngine`], so a `true` here is
 /// a genuine equilibrium certificate for any view size.
 ///
-/// One CSR freeze, then the players in 64-lane groups fanned out over
-/// the current work-stealing pool: each task runs one bit-parallel
+/// The players are fanned out in 64-lane groups over the current
+/// work-stealing pool: each task runs one bit-parallel
 /// ball sweep for its group and solves the group's players on a
 /// per-worker view slot rebuilt in place, with a per-worker
 /// [`Responder`] (hence one warm [`SolverScratch`]) reused across
@@ -234,7 +234,7 @@ impl BestResponder for Responder {
 pub fn is_lke(state: &GameState, spec: &GameSpec) -> bool {
     let violated = AtomicBool::new(false);
     let n = state.n() as NodeId;
-    let csr = CsrGraph::from_graph(state.graph());
+    let graph = state.graph();
     let starts: Vec<NodeId> = (0..n).step_by(WORD_LANES).collect();
     let _: Vec<()> = starts
         .into_par_iter()
@@ -257,7 +257,7 @@ pub fn is_lke(state: &GameState, spec: &GameSpec) -> bool {
                 let hi = (lo + WORD_LANES as NodeId).min(n);
                 sources.clear();
                 sources.extend(lo..hi);
-                batch_bfs(&csr, sources, spec.k, scratch, dists);
+                batch_bfs(graph, sources, spec.k, scratch, dists);
                 for lane in 0..(hi - lo) as usize {
                     if violated.load(Ordering::Relaxed) {
                         return;
