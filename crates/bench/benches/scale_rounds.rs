@@ -9,8 +9,9 @@
 //!   scales to `10^6`.
 //! * `scale_rounds/run_20k` — a short capped run (4 rounds) at
 //!   `n = 2·10^4`, the shape of one `scale-dynamics --quick` cell:
-//!   round one is dense (everyone is dirty), later rounds shrink to
-//!   the balls the previous round touched.
+//!   round one is dense (everyone is dirty); later rounds re-run only
+//!   players whose radius-`k` view the previous round changed, and
+//!   carry the other conflicted proposals (DESIGN.md §13).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ncg_core::GameSpec;

@@ -14,16 +14,28 @@
 //!    distance `k` of the touched set (mover + strategy symmetric
 //!    difference) of an earlier accepted move — in which case the
 //!    proposal was computed on stale information and is *conflicted*
-//!    (dropped, player retried next round). Acceptance is safe: a
+//!    (held back, never applied this round). Acceptance is safe: a
 //!    changed edge is incident to a touched node, so any path from an
 //!    unconflicted player through a changed edge is longer than `k`,
 //!    her radius-`k` ball is bit-identical in the frozen and updated
 //!    networks, and her proposal's exact cost delta still holds.
 //! 3. **Apply** — accepted moves land in one `O(n + m)` SoA rebuild.
-//! 4. **Dirty** — the next round's dirty set is the union of the
-//!    radius-`k` balls of all touched nodes in the frozen *and* the
-//!    updated network, plus the conflicted players. Everyone else
-//!    kept their ball bit-identical and provably stands pat.
+//! 4. **Dirty** — [`respond`] reads only a player's radius-`k` ball,
+//!    the edges it induces, her own strategy and her incoming set. A
+//!    round changes those for player `w` only if `w` is touched, or
+//!    some changed edge `(u, x)` has both ends within distance `k` of
+//!    `w` (in the frozen network for a dropped purchase, in the
+//!    updated one for an added purchase): a path of length `≤ k` from
+//!    `w` only visits nodes within distance `k` of her, so an edge
+//!    with an end farther away is on no such path and outside her
+//!    induced ball. The next round's dirty set is therefore the union,
+//!    over accepted moves, of `B_k(u) ∩ B_k(x)` for every changed
+//!    purchase `u → x` on the side where the edge exists — which
+//!    contains the touched nodes themselves. Everyone else faces a
+//!    bit-identical `respond` input: clean players stand pat, and a
+//!    conflicted player outside the set carries her proposal into the
+//!    next round unchanged instead of re-responding. So every round's
+//!    proposal list equals a full re-response of all `n` players.
 //!
 //! `RoundMode::Sequential` is the small-`n` reference mode: players
 //! move one at a time in ascending order within a round (each seeing
@@ -49,7 +61,6 @@ use rayon::prelude::*;
 
 use super::responder::{respond, ScaleMove, ScaleResponderConfig, ScaleScratch};
 use crate::fingerprint::player_term;
-use crate::view_cache::touched_of;
 use crate::Outcome;
 
 /// Players whose proposals one parallel task computes. Fixed — chunk
@@ -61,8 +72,9 @@ const PROPOSAL_CHUNK: usize = 4096;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundMode {
     /// All dirty players propose against the frozen round-start
-    /// network; colliding proposals are dropped deterministically
-    /// (canonical player order wins). The scale mode.
+    /// network; colliding proposals are held back deterministically
+    /// (canonical player order wins) and, when their player's view
+    /// stays unchanged, carried into the next round. The scale mode.
     Simultaneous,
     /// Players move one at a time in ascending order, each seeing all
     /// earlier moves — the exact tier's discipline, kept as the
@@ -98,13 +110,14 @@ impl ScaleConfig {
 /// Per-round accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScaleRoundStats {
-    /// Players that responded this round.
+    /// Players that called [`respond`] this round (carried proposals
+    /// are not counted).
     pub dirty: usize,
-    /// Strictly improving proposals collected.
+    /// Strictly improving proposals collected, fresh and carried.
     pub proposals: usize,
     /// Proposals applied after conflict resolution.
     pub applied: usize,
-    /// Proposals dropped as conflicted (simultaneous mode only).
+    /// Proposals held back as conflicted (simultaneous mode only).
     pub conflicts: usize,
 }
 
@@ -185,8 +198,6 @@ struct MarkScratch {
     stamp: Vec<u32>,
     dist: Vec<u32>,
     queue: Vec<NodeId>,
-    /// Log of nodes stamped in the current epoch.
-    marked: Vec<NodeId>,
 }
 
 impl MarkScratch {
@@ -200,7 +211,6 @@ impl MarkScratch {
             self.epoch = 0;
         }
         self.epoch += 1;
-        self.marked.clear();
     }
 
     fn is_marked(&self, v: NodeId) -> bool {
@@ -208,12 +218,11 @@ impl MarkScratch {
     }
 
     /// Marks every node within distance `k` of `sources` in `g`.
-    fn mark_ball(&mut self, g: &CsrGraph, sources: &[NodeId], k: u32) {
+    fn mark_ball(&mut self, g: &CsrGraph, sources: impl IntoIterator<Item = NodeId>, k: u32) {
         self.queue.clear();
-        for &s in sources {
+        for s in sources {
             if self.stamp[s as usize] != self.epoch {
                 self.stamp[s as usize] = self.epoch;
-                self.marked.push(s);
                 self.dist[s as usize] = 0;
                 self.queue.push(s);
             } else if self.dist[s as usize] > 0 {
@@ -233,7 +242,6 @@ impl MarkScratch {
             for &w in g.neighbors(v) {
                 if self.stamp[w as usize] != self.epoch {
                     self.stamp[w as usize] = self.epoch;
-                    self.marked.push(w);
                     self.dist[w as usize] = nd;
                     self.queue.push(w);
                 } else if self.dist[w as usize] > nd {
@@ -284,10 +292,15 @@ pub struct ScaleArena {
     mark: MarkScratch,
     dirty: Vec<NodeId>,
     next_dirty: Vec<NodeId>,
-    touched: Vec<NodeId>,
-    touched_all: Vec<NodeId>,
+    /// `(mover, target)` purchases the round's accepted moves drop.
+    dropped: Vec<(NodeId, NodeId)>,
+    /// `(mover, target)` purchases the round's accepted moves add.
+    added: Vec<(NodeId, NodeId)>,
     accepted: Vec<(NodeId, Vec<NodeId>)>,
-    conflicted: Vec<NodeId>,
+    /// Conflicted proposals whose player's view the round left
+    /// unchanged, ascending by player: next round's proposals for
+    /// those players, without calling [`respond`] again.
+    carried: Vec<ScaleMove>,
     seen: HashMap<ProfileFp, usize>,
     batch: BatchScratch,
     dists: BatchDistances,
@@ -320,6 +333,53 @@ fn sample_views(state: &GameState, k: u32, arena: &mut ScaleArena) -> ViewSample
     }
 }
 
+/// Appends `u`'s purchase edits, `old → new` (both sorted ascending),
+/// to `dropped` and `added` as `(u, target)` pairs.
+fn push_purchase_edits(
+    u: NodeId,
+    old: &[NodeId],
+    new: &[NodeId],
+    dropped: &mut Vec<(NodeId, NodeId)>,
+    added: &mut Vec<(NodeId, NodeId)>,
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < old.len() || j < new.len() {
+        if j == new.len() || (i < old.len() && old[i] < new[j]) {
+            dropped.push((u, old[i]));
+            i += 1;
+        } else if i == old.len() || new[j] < old[i] {
+            added.push((u, new[j]));
+            j += 1;
+        } else {
+            i += 1;
+            j += 1;
+        }
+    }
+}
+
+/// Appends to `out` every player whose radius-`k` view contains one of
+/// the edges `purchases` (`(mover, target)` pairs grouped by mover) in
+/// `g`: the players within distance `k` of both ends, `B_k(u) ∩
+/// B_k(x)`. Called on the frozen network with the dropped purchases
+/// and on the updated one with the added purchases, this is the exact
+/// view-change rule of step 4 (module doc). The mover and each target
+/// are adjacent on that side, so they land in their own intersection.
+fn push_view_changes(
+    g: &CsrGraph,
+    purchases: &[(NodeId, NodeId)],
+    k: u32,
+    mark: &mut MarkScratch,
+    ws: &mut WorkerScratch,
+    out: &mut Vec<NodeId>,
+) {
+    for edits in purchases.chunk_by(|a, b| a.0 == b.0) {
+        mark.begin(g.node_count());
+        mark.mark_ball(g, edits.iter().map(|&(_, x)| x), k);
+        ws.responder.discover_ball(g, edits[0].0, k, &mut ws.ball);
+        out.extend(ws.ball.iter().copied().filter(|&w| mark.is_marked(w)));
+    }
+}
+
 /// One simultaneous round. Returns the stats; mutates `state`, the
 /// arena's dirty bookkeeping, and the profile fingerprint.
 fn simultaneous_round(
@@ -339,7 +399,7 @@ fn simultaneous_round(
     let rcfg = &config.responder;
     let pool = &arena.pool;
     let frozen: &GameState = state;
-    let proposals: Vec<ScaleMove> = chunks
+    let mut proposals: Vec<ScaleMove> = chunks
         .into_par_iter()
         .map_init(
             || PoolGuard::take(pool),
@@ -359,6 +419,10 @@ fn simultaneous_round(
         .into_iter()
         .flatten()
         .collect();
+    // Carried proposals belong to players outside the dirty list, so
+    // the merge by player id has no duplicates.
+    proposals.append(&mut arena.carried);
+    proposals.sort_unstable_by_key(|mv| mv.player);
 
     let proposal_count = proposals.len();
     if proposal_count == 0 {
@@ -366,40 +430,55 @@ fn simultaneous_round(
     }
 
     // Phase 2: canonical-order conflict resolution on the frozen
-    // network (proposals arrive ascending by player).
+    // network (proposals arrive ascending by player). Conflicted
+    // proposals wait in `carried` until phase 4 decides their fate.
     arena.mark.begin(n);
     arena.accepted.clear();
-    arena.conflicted.clear();
-    arena.touched_all.clear();
+    arena.dropped.clear();
+    arena.added.clear();
     for mv in proposals {
         if arena.mark.is_marked(mv.player) {
-            arena.conflicted.push(mv.player);
+            arena.carried.push(mv);
             continue;
         }
         let old = state.strategy(mv.player);
-        touched_of(mv.player, old, &mv.strategy, &mut arena.touched);
+        let (d0, a0) = (arena.dropped.len(), arena.added.len());
+        push_purchase_edits(mv.player, old, &mv.strategy, &mut arena.dropped, &mut arena.added);
         fp.apply(mv.player, old, &mv.strategy);
-        arena.mark.mark_ball(state.graph(), &arena.touched, k);
-        arena.touched_all.extend_from_slice(&arena.touched);
+        // Touched set: the mover and every target she gains or loses.
+        let targets = arena.dropped[d0..].iter().chain(&arena.added[a0..]).map(|&(_, x)| x);
+        arena.mark.mark_ball(state.graph(), std::iter::once(mv.player).chain(targets), k);
         arena.accepted.push((mv.player, mv.strategy));
     }
     let applied = arena.accepted.len();
-    let conflicts = arena.conflicted.len();
+    let conflicts = arena.carried.len();
 
-    // Phase 3: one batched SoA rebuild.
+    // Phases 3 and 4: the dropped purchases' view changes on the
+    // frozen network, one batched SoA rebuild, then the added
+    // purchases' view changes on the updated network. The conflict
+    // marks are spent, so `mark` and a worker scratch are free.
+    let mut guard = PoolGuard::take(&arena.pool);
+    let ws = guard.get();
     arena.next_dirty.clear();
-    arena.next_dirty.extend_from_slice(&arena.mark.marked);
+    push_view_changes(state.graph(), &arena.dropped, k, &mut arena.mark, ws, &mut arena.next_dirty);
     state.apply_moves(&arena.accepted, &mut arena.apply);
-
-    // Phase 4: dirty set for the next round = frozen-ball ∪ new-ball
-    // of everything touched, plus the conflicted players.
-    arena.mark.begin(n);
-    arena.mark.mark_ball(state.graph(), &arena.touched_all, k);
-    arena.next_dirty.extend_from_slice(&arena.mark.marked);
-    arena.next_dirty.extend_from_slice(&arena.conflicted);
+    push_view_changes(state.graph(), &arena.added, k, &mut arena.mark, ws, &mut arena.next_dirty);
     arena.next_dirty.sort_unstable();
     arena.next_dirty.dedup();
     std::mem::swap(&mut arena.dirty, &mut arena.next_dirty);
+    arena.carried.retain(|mv| arena.dirty.binary_search(&mv.player).is_err());
+    if cfg!(debug_assertions) {
+        for mv in &arena.carried {
+            ws.responder.discover_ball(state.graph(), mv.player, k, &mut ws.ball);
+            let fresh = respond(state, spec, rcfg, mv.player, &ws.ball, &mut ws.responder);
+            debug_assert_eq!(
+                fresh.as_ref(),
+                Some(mv),
+                "carried proposal of player {} is stale",
+                mv.player
+            );
+        }
+    }
 
     ScaleRoundStats { dirty: dirty_count, proposals: proposal_count, applied, conflicts }
 }
@@ -413,14 +492,11 @@ fn sequential_round(
     fp: &mut ProfileFp,
 ) -> ScaleRoundStats {
     let k = config.spec.k;
-    let n = state.n();
     let dirty_count = arena.dirty.len();
-    arena.mark.begin(n);
     let mut applied = 0usize;
     arena.next_dirty.clear();
-    std::mem::swap(&mut arena.dirty, &mut arena.next_dirty);
-    for i in 0..arena.next_dirty.len() {
-        let u = arena.next_dirty[i];
+    for i in 0..arena.dirty.len() {
+        let u = arena.dirty[i];
         let ws = &mut arena.seq;
         ws.responder.discover_ball(state.graph(), u, k, &mut ws.ball);
         let Some(mv) =
@@ -429,19 +505,35 @@ fn sequential_round(
             continue;
         };
         let old = state.strategy(u);
-        touched_of(u, old, &mv.strategy, &mut arena.touched);
+        arena.dropped.clear();
+        arena.added.clear();
+        push_purchase_edits(u, old, &mv.strategy, &mut arena.dropped, &mut arena.added);
         fp.apply(u, old, &mv.strategy);
-        // Union of pre- and post-move balls of the touched set, all
-        // accumulated in one mark epoch.
-        arena.mark.mark_ball(state.graph(), &arena.touched, k);
+        // The same view-change rule as a simultaneous round, one move
+        // at a time; players earlier in this round are included too,
+        // which only over-approximates.
+        push_view_changes(
+            state.graph(),
+            &arena.dropped,
+            k,
+            &mut arena.mark,
+            ws,
+            &mut arena.next_dirty,
+        );
         state.apply_moves(&[(u, mv.strategy)], &mut arena.apply);
-        arena.mark.mark_ball(state.graph(), &arena.touched, k);
+        push_view_changes(
+            state.graph(),
+            &arena.added,
+            k,
+            &mut arena.mark,
+            ws,
+            &mut arena.next_dirty,
+        );
         applied += 1;
     }
-    arena.dirty.clear();
-    arena.dirty.extend_from_slice(&arena.mark.marked);
-    arena.dirty.sort_unstable();
-    arena.dirty.dedup();
+    arena.next_dirty.sort_unstable();
+    arena.next_dirty.dedup();
+    std::mem::swap(&mut arena.dirty, &mut arena.next_dirty);
     ScaleRoundStats { dirty: dirty_count, proposals: applied, applied, conflicts: 0 }
 }
 
@@ -460,6 +552,7 @@ pub fn run_scale(
     arena.seen.insert(fp, 0);
     arena.dirty.clear();
     arena.dirty.extend(0..n as NodeId);
+    arena.carried.clear();
 
     let mut rounds = Vec::new();
     let mut total_moves = 0usize;
@@ -492,6 +585,7 @@ pub fn run_scale(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::view_cache::touched_of;
 
     fn successor_path(n: usize) -> GameState {
         let strategies: Vec<Vec<NodeId>> =
@@ -531,6 +625,38 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(r1.outcome, r2.outcome);
         assert_eq!(r1.rounds, r2.rounds);
+    }
+
+    #[test]
+    fn dirty_set_is_exactly_the_changed_views() {
+        // Path 0-1-2-3-4-5 (each player buys her successor) with a
+        // triangle 5-6-7 hung off its end: 5 buys 6 and 7, 6 buys 7.
+        // At α = 2, k = 2 (Max) player 5 drops her redundant purchase
+        // of 7; only her dirty bit is set, so she is the only mover.
+        let owned = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7), (6, 7)];
+        let mut state = GameState::from_owned_edges(8, &owned);
+        let config = ScaleConfig::new(GameSpec::max(2.0, 2));
+        let mut arena = ScaleArena::new();
+        arena.dirty = vec![5];
+        let mut fp = ProfileFp::of_state(&state);
+        let stats = simultaneous_round(&mut state, &config, &mut arena, &mut fp);
+        assert_eq!(stats, ScaleRoundStats { dirty: 1, proposals: 1, applied: 1, conflicts: 0 });
+        assert_eq!(state.strategy(5), &[6]);
+        // The dropped edge 5-7 lies in the radius-2 views of exactly
+        // B_2(5) ∩ B_2(7) = {4, 5, 6, 7} of the frozen network.
+        assert_eq!(arena.dirty, vec![4, 5, 6, 7]);
+        // Player 3 sits at distance k = 2 from the mover, so the
+        // ball-of-touched rule dirtied her, but 7 is at distance 3
+        // from her: the dropped edge 5-7 was never in her view.
+        let frozen = GameState::from_owned_edges(8, &owned);
+        let mut scratch = ScaleScratch::new();
+        let (mut before, mut after) = (Vec::new(), Vec::new());
+        scratch.discover_ball(frozen.graph(), 5, 2, &mut before);
+        assert!(before.contains(&3));
+        scratch.discover_ball(frozen.graph(), 3, 2, &mut before);
+        scratch.discover_ball(state.graph(), 3, 2, &mut after);
+        assert_eq!(before, [1, 2, 3, 4, 5]);
+        assert_eq!(after, before);
     }
 
     #[test]
